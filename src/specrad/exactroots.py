@@ -2,13 +2,32 @@
 
 Polynomials are tuples of Python ints in ascending power order.  All
 sign decisions are exact: evaluation at a rational num/den reduces to an
-integer sign, and root counting uses Sturm chains.  Floats appear only
-in final refinements, so comparisons of largest roots (spectral radii of
+integer sign.  The largest real root is located in one of two ways.
+
+* Seeded certificate.  Given a float estimate, dyadic brackets (lo, hi]
+  of widening reach around it are tried.  :func:`shift_variations`
+  counts the sign variations V(r) of p(r + t); by Descartes' rule of
+  signs V(r) bounds the number of roots above r and has the same
+  parity, so V(hi) = 0 and V(lo) = 1 prove that p has exactly one root
+  above lo, that it is simple, and that it lies in (lo, hi].  The proof
+  holds for every integer polynomial; for a real-rooted one (the
+  characteristic polynomial of a symmetric matrix) V(r) is exactly the
+  number of roots above r, so a tight bracket around a good seed always
+  certifies.
+* Sturm fallback.  Without a seed, or when no bracket certifies, the
+  square-free part's Sturm chain counts roots while the Cauchy interval
+  is bisected.
+
+Either way the result is an interval holding exactly one root, simple
+in the polynomial carried with it, with no root above; from there all
+refinement is plain sign bisection.  Floats only seed brackets and
+polish final values, so comparisons of largest roots (spectral radii of
 integer matrices) never hinge on rounding.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from math import gcd
 
@@ -16,6 +35,7 @@ __all__ = [
     "normalize",
     "derivative",
     "sign_at",
+    "shift_variations",
     "cauchy_bound",
     "sturm_chain",
     "count_roots_in",
@@ -25,6 +45,16 @@ __all__ = [
     "largest_real_root",
     "compare_largest_roots",
 ]
+
+# Seeded brackets have endpoints on the grid of multiples of 2^-SEED_BITS;
+# SEED_REACH lists the half-widths, in grid steps, tried in turn.  One
+# step (about 9e-13) already covers eigvalsh's error for n <= 32.
+SEED_BITS = 40
+SEED_REACH = (1, 4, 64, 1 << 12, 1 << 20)
+# Overlapping brackets are halved down to this width before the gcd is
+# formed: a common root on a fine dyadic grid (the integer radius of a
+# regular graph) is then met exactly by sign bisection, with no gcd.
+GCD_WIDTH = Fraction(1, 1 << 64)
 
 
 def normalize(p):
@@ -65,6 +95,30 @@ def sign_at(p, x):
         dpow *= den
         acc = acc * num + c * dpow
     return (acc > 0) - (acc < 0)
+
+
+def shift_variations(p, r):
+    """Sign variations V(r) of the coefficients of p(r + t), for rational r.
+
+    Descartes' rule of signs: V(r) is at least the number of roots of p
+    above r, counted with multiplicity, and differs from it by an even
+    number; the two are equal when every root of p is real.  Computed in
+    the integers as the Taylor shift by num of den^d p(x / den), whose
+    coefficients are those of p(r + t) scaled by positive factors.
+    """
+    p = normalize(p)
+    if not p:
+        return 0
+    r = Fraction(r)
+    num, den = r.numerator, r.denominator
+    q = [p[-1]]  # Horner in x = num + t; ascending coefficients in t
+    dpow = 1
+    for c in reversed(p[:-1]):
+        dpow *= den
+        q = ([num * q[0] + c * dpow]
+             + [x + num * y for x, y in zip(q, q[1:])]
+             + [q[-1]])
+    return _variations((c > 0) - (c < 0) for c in q)
 
 
 def _sign_at_inf(p, positive):
@@ -191,14 +245,86 @@ def count_roots_in(chain, lo, hi):
     return vlo - vhi
 
 
-def isolate_largest_root(p, width=Fraction(1, 1 << 30)):
+def _versus_root(loc, x):
+    """Sign of x - root for a rational x and an interval locator.
+
+    Above lo the locator's polynomial f has just that root, simple and
+    below hi, so above it f has the sign of its leading coefficient and
+    between lo and it the opposite sign.
+    """
+    _, lo, hi, f = loc
+    if x <= lo:
+        return -1
+    if x >= hi:
+        return 1
+    s = sign_at(f, x)
+    return s if f[-1] > 0 else -s
+
+
+def _halve(loc):
+    """One exact sign-bisection step of an interval locator."""
+    _, lo, hi, f = loc
+    mid = (lo + hi) / 2
+    side = _versus_root(loc, mid)
+    if side == 0:
+        return ("exact", mid)
+    return ("interval", lo, mid, f) if side > 0 else ("interval", mid, hi, f)
+
+
+def _refine(loc, width):
+    while loc[0] == "interval" and loc[2] - loc[1] > width:
+        loc = _halve(loc)
+    return loc
+
+
+def _seeded_bracket(p, seed):
+    """Certified (lo, hi] around a float seed, or None.
+
+    With base the grid point at or below the seed, hi is the first
+    base + h (h in SEED_REACH) with V(hi) = 0, so no root lies above it,
+    and lo the first base - h with V(lo) = 1, so exactly one simple root
+    lies above lo.  V(lo) > 1 means more than one root sits above lo,
+    which widening cannot cure.
+    """
+    scale = 1 << SEED_BITS
+    scaled = seed * scale
+    if not math.isfinite(scaled):
+        return None
+    base = math.floor(scaled)
+    for h in SEED_REACH:
+        hi = Fraction(base + h, scale)
+        if shift_variations(p, hi) == 0:
+            break
+    else:
+        return None
+    for h in SEED_REACH:
+        lo = Fraction(base - h, scale)
+        v = shift_variations(p, lo)
+        if v == 1:
+            return lo, hi
+        if v > 1:
+            return None
+    return None
+
+
+def isolate_largest_root(p, width=Fraction(1, 1 << 30), seed=None):
     """Isolating interval for the largest real root of p.
 
     Returns ('exact', r) when the largest root is found to be rational,
-    else ('interval', lo, hi, chain) with lo < root <= hi containing
-    exactly one root of the square-free part and no roots above hi.
+    else ('interval', lo, hi, f) with hi - lo <= width: f is p or its
+    square-free part, and its only root above lo is a simple root in
+    (lo, hi), the largest real root of p.  A float `seed` near that root
+    is tried first through a Descartes certificate; without one, or if
+    certification fails, Sturm bisection of the Cauchy interval runs.
     Raises ValueError when p has no real root.
     """
+    p = normalize(p)
+    bracket = None if seed is None else _seeded_bracket(p, seed)
+    if bracket is not None:
+        lo, hi = bracket
+        if sign_at(p, hi) == 0:
+            return ("exact", hi)
+        return _refine(("interval", lo, hi, p), width)
     sf = square_free_part(p)
     chain = sturm_chain(sf)
     bound = cauchy_bound(sf)
@@ -219,27 +345,16 @@ def isolate_largest_root(p, width=Fraction(1, 1 << 30)):
             lo = mid
         else:
             hi = mid
-    return ("interval", lo, hi, chain)
+    return ("interval", lo, hi, sf)
 
 
 def largest_real_root(p, abs_tol=1e-12):
     """Largest real root of p as a float, within abs_tol."""
-    loc = isolate_largest_root(p)
+    target = Fraction(abs_tol).limit_denominator(1 << 62) / 4
+    loc = _refine(isolate_largest_root(p), target)
     if loc[0] == "exact":
         return float(loc[1])
-    _, lo, hi, chain = loc
-    sf = square_free_part(p)
-    target = Fraction(abs_tol).limit_denominator(1 << 62) / 4
-    while hi - lo > target:
-        mid = (lo + hi) / 2
-        s = sign_at(sf, mid)
-        if s == 0:
-            return float(mid)
-        # square-free and isolated: sign flips exactly at the root
-        if s * sign_at(sf, hi) <= 0:
-            lo = mid
-        else:
-            hi = mid
+    _, lo, hi, _ = loc
     x = float((lo + hi) / 2)
     # light Newton polish, clamped to the certified interval
     flo, fhi = float(lo), float(hi)
@@ -260,54 +375,37 @@ def _horner(p, x):
     return acc
 
 
-def _cmp_value_vs_largest(a, sf, chain):
-    """Compare rational a against the largest root of square-free sf."""
-    if count_roots_in(chain, a, "+inf") >= 1:
-        return -1  # a root lies above a
-    return 0 if sign_at(sf, a) == 0 else 1
+def compare_largest_roots(p, q, seeds=(None, None)):
+    """Compare the largest real roots of p and q exactly: -1, 0, or +1.
 
-
-def compare_largest_roots(p, q):
-    """Compare the largest real roots of p and q exactly: -1, 0, or +1."""
-    sfp, sfq = square_free_part(p), square_free_part(q)
-    locp = isolate_largest_root(p)
-    locq = isolate_largest_root(q)
-
-    def chain_of(loc, sf):
-        return loc[3] if loc[0] == "interval" else sturm_chain(sf)
-
-    def shrink(loc, sf):
-        _, lo, hi, ch = loc
-        mid = (lo + hi) / 2
-        if sign_at(sf, mid) == 0:
-            return ("exact", mid)
-        if count_roots_in(ch, mid, hi) >= 1:
-            return ("interval", mid, hi, ch)
-        return ("interval", lo, mid, ch)
-
-    shared = None  # gcd, computed lazily on first overlap
+    `seeds` holds an optional float estimate of each largest root (see
+    :func:`isolate_largest_root`).  The two isolating intervals are
+    halved by exact sign bisection until they separate.  Once both are
+    narrower than GCD_WIDTH and still overlap in (ilo, ihi), the roots
+    are equal iff the gcd of the two locator polynomials has a root
+    there.  It can have only that one, simple, and none at ihi, so a
+    sign change between the ends shows it; a root of the gcd at ilo
+    itself hides the change until a halving moves ilo, so the test
+    repeats on every overlap.
+    """
+    a, b = (isolate_largest_root(f, seed=s) for f, s in zip((p, q), seeds))
+    shared = None  # gcd, formed on the first narrow overlap
     for _ in range(512):
-        if locp[0] == "exact" and locq[0] == "exact":
-            a, b = locp[1], locq[1]
-            return (a > b) - (a < b)
-        if locp[0] == "exact":
-            return _cmp_value_vs_largest(locp[1], sfq, chain_of(locq, sfq))
-        if locq[0] == "exact":
-            return -_cmp_value_vs_largest(locq[1], sfp, chain_of(locp, sfp))
-        alo, ahi = locp[1], locp[2]
-        blo, bhi = locq[1], locq[2]
-        if ahi <= blo:
-            return -1  # alpha <= ahi <= blo < beta
-        if bhi <= alo:
+        if a[0] == "exact" and b[0] == "exact":
+            return (a[1] > b[1]) - (a[1] < b[1])
+        if a[0] == "exact":
+            return _versus_root(b, a[1])
+        if b[0] == "exact":
+            return -_versus_root(a, b[1])
+        if a[2] <= b[1]:
+            return -1  # alpha < ahi <= blo < beta
+        if b[2] <= a[1]:
             return 1
-        # overlapping isolating intervals: equal iff the gcd has a root there
-        if shared is None:
-            shared = poly_gcd(sfp, sfq)
-        if len(shared) > 1:
-            ilo, ihi = max(alo, blo), min(ahi, bhi)
-            gch = sturm_chain(square_free_part(shared))
-            if count_roots_in(gch, ilo, ihi) >= 1:
+        if max(a[2] - a[1], b[2] - b[1]) <= GCD_WIDTH:
+            if shared is None:
+                shared = poly_gcd(a[3], b[3])
+            ilo, ihi = max(a[1], b[1]), min(a[2], b[2])
+            if len(shared) > 1 and sign_at(shared, ilo) * sign_at(shared, ihi) < 0:
                 return 0
-        locp = shrink(locp, sfp)
-        locq = shrink(locq, sfq)
+        a, b = _halve(a), _halve(b)
     raise RuntimeError("compare_largest_roots failed to separate after 512 rounds")

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import exactroots
 from .graphs import ExtremalParams
-from .spectral import Spectrum, full_spectrum
+from .spectral import RESIDUAL_FACTOR, Spectrum, _power_iterate, full_spectrum
 
 __all__ = [
     "Partition",
@@ -315,6 +315,12 @@ def _horner(p, x):
     return acc
 
 
+def _symmetrized(qm: QuotientMatrix):
+    """(D^{1/2} Q D^{-1/2}, sqrt of the block sizes) for D = diag(n_i)."""
+    d = np.sqrt(np.array(qm.sizes, dtype=float))
+    return qm.matrix * (d[:, None] / d[None, :]), d
+
+
 def quotient_spectrum(qm: QuotientMatrix):
     """All eigenvalues of a quotient matrix.
 
@@ -322,26 +328,23 @@ def quotient_spectrum(qm: QuotientMatrix):
     D^{1/2} Q D^{-1/2} symmetric for D = diag(n_i), so the Jacobi solver
     applies after that similarity transform.
     """
-    d = np.sqrt(np.array(qm.sizes, dtype=float))
-    sym = qm.matrix * (d[:, None] / d[None, :])
-    return full_spectrum(sym)
+    return full_spectrum(_symmetrized(qm)[0])
 
 
 def quotient_perron(qm: QuotientMatrix, tol=1e-14, max_iter=200_000):
-    """Dominant eigenpair (rho, x) of a nonnegative irreducible quotient."""
-    q = qm.matrix
-    m = q.shape[0]
-    x = np.full(m, 1.0 / math.sqrt(m))
-    rho_prev = math.inf
-    for _ in range(max_iter):
-        z = q @ x + x
-        nrm = np.linalg.norm(z)
-        x = z / nrm
-        rho = float(x @ (q @ x))
-        if abs(rho - rho_prev) <= tol * max(1.0, abs(rho)):
-            return rho, x
-        rho_prev = rho
-    raise RuntimeError("quotient power iteration did not converge")
+    """Dominant eigenpair (rho, x) of a nonnegative irreducible quotient.
+
+    Power iteration runs on the symmetric S = D^{1/2} Q D^{-1/2} through
+    the shared core, whose residual gate bounds ||S u - rho u||_inf.
+    With x = D^{-1/2} u, Q x = rho x; the vertex vector lifted from x has
+    unit norm (sum n_i x_i^2 = ||u||^2), and its residual on an equitable
+    partition is (S u - rho u)_i / sqrt(n_i), no larger than the gated one.
+    """
+    sym, d = _symmetrized(qm)
+    m = sym.shape[0]
+    u = np.full(m, 1.0 / math.sqrt(m))
+    rho, u, _ = _power_iterate(sym, u, tol, RESIDUAL_FACTOR, max_iter)
+    return rho, u / d
 
 
 def lift_block_vector(p: Partition, x):

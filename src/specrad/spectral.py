@@ -9,8 +9,11 @@ each other:
 * :func:`full_spectrum` -- cyclic Jacobi rotations for all eigenvalues
   of a symmetric matrix;
 * :func:`int_charpoly` / :func:`exact_compare_rho` -- exact integer
-  characteristic polynomials with exact largest-root comparison, used to
-  resolve census ties where float equality proves nothing.
+  characteristic polynomials (modular Faddeev-LeVerrier, rebuilt by CRT
+  from primes whose product covers a proven coefficient bound) with
+  exact largest-root comparison, used to resolve census ties where float
+  equality proves nothing.  Float eigenvalues only seed the brackets
+  that :mod:`specrad.exactroots` certifies with Descartes' rule of signs.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ __all__ = [
     "full_spectrum",
     "int_charpoly",
     "exact_compare_rho",
+    "charpoly_bound",
+    "CHARPOLY_PRIMES",
     "DEFAULT_TOL",
     "RESIDUAL_FACTOR",
     "MAX_ITER",
@@ -245,47 +250,87 @@ def full_spectrum(m, off_factor=1e-12, max_sweeps=64):
     return Spectrum(tuple(float(v) for v in np.sort(np.diag(a))))
 
 
-def int_charpoly(g):
-    """det(xI - A(g)) with exact integer coefficients (Faddeev-LeVerrier).
+# Faddeev-LeVerrier runs modulo these primes, both below 2^46.  Residues
+# stay below 2p and a row of A has at most n <= 32 ones, so every entry of
+# A @ M, and every trace, is an integer below 2 * 32 * 2^46 = 2^52: float64
+# holds it exactly, whatever order BLAS sums in.  Their product, above 2^91,
+# exceeds twice charpoly_bound(32, 32 * 32) (below 2^87), so CRT recovers
+# every coefficient of every 0/1 matrix of order n <= 32.
+CHARPOLY_PRIMES = (2**46 - 21, 2**46 - 57)
 
-    The auxiliary matrices of the recurrence stay integral, so the trace
-    division by the step index is exact; asserted, not assumed.
+
+def _crt_table(primes):
+    """(modulus, weights): x = sum(r_i * w_i) mod modulus has x = r_i mod p_i."""
+    modulus = math.prod(primes)
+    return modulus, tuple(modulus // p * pow(modulus // p, -1, p) for p in primes)
+
+
+_CRT = [_crt_table(CHARPOLY_PRIMES[:i]) for i in range(1, len(CHARPOLY_PRIMES) + 1)]
+
+
+def charpoly_bound(n, ones):
+    """Integer B >= |c| for every coefficient c of det(xI - A), A an n x n 0/1 matrix.
+
+    `ones` counts the nonzero entries of A (twice the edges of a graph).
+    The coefficient of x^(n-k) is +- the sum of the principal k x k
+    minors.  Hadamard's inequality bounds a minor on rows S by the
+    product of sqrt(d_i), i in S, with d_i the ones in row i; summed over
+    S that is e_k(sqrt(d)), which Maclaurin's inequality and concavity
+    bound by C(n, k) (ones / n)^(k/2).  No symmetry is assumed.
+    """
+    return max(math.isqrt(math.comb(n, k) ** 2 * ones**k // n**k) + 1
+               for k in range(n + 1))
+
+
+def int_charpoly(g):
+    """det(xI - A(g)) with exact integer coefficients.
+
+    Modular Faddeev-LeVerrier: the recurrence M <- A M + c I runs modulo
+    one or both CHARPOLY_PRIMES at once, as one float64 matmul per step
+    on the primes stacked side by side, reduced with np.fmod.  The trace
+    division by the step index is a modular inverse (every prime exceeds
+    n).  Each coefficient is rebuilt by CRT as the symmetric residue,
+    using just enough primes for their product to exceed twice
+    charpoly_bound(n, ones in A).  Both invariants -- float
+    intermediates below 2^53, prime product above 2B -- are asserted.
     """
     n = g.n
     if n > 32:
         raise ValueError(f"int_charpoly capped at n <= 32 (got {n})")
-    rows = g.rows
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    cs = [1]  # descending: coefficient of x^n first
+    a = g.adjacency_matrix()
+    bound = charpoly_bound(n, int(a.sum()))
+    used = next((i for i, (mod, _) in enumerate(_CRT, 1) if mod > 2 * bound), len(_CRT))
+    primes = CHARPOLY_PRIMES[:used]
+    modulus, weights = _CRT[used - 1]
+    assert modulus > 2 * bound, "CRT modulus must exceed twice the coefficient bound"
+    assert 2 * n * max(primes) < 2**53, "float intermediates must stay exact"
+    pv = np.array(primes, dtype=float)
+    # row i of m holds M[i, j] modulo primes[t] at column j * used + t
+    m = np.zeros((n, n * used))
+    m.reshape(n * n, used)[:: n + 1] = 1.0
+    residues = []  # per step, the coefficient of x^(n-step) modulo each prime
     for step in range(1, n + 1):
-        am = []
-        for i in range(n):
-            acc = [0] * n
-            mask = rows[i]
-            while mask:
-                bit = mask & -mask
-                t = bit.bit_length() - 1
-                mask ^= bit
-                mt = m[t]
-                for j in range(n):
-                    acc[j] += mt[j]
-            am.append(acc)
-        tr = sum(am[i][i] for i in range(n))
-        q, r = divmod(-tr, step)
-        assert r == 0, "Faddeev-LeVerrier trace division must be exact"
-        cs.append(q)
-        for i in range(n):
-            am[i][i] += q
-        m = am
-    return IntCharPoly(tuple(reversed(cs)))
+        m = np.fmod((a @ m).reshape(n * n, used), pv)
+        diag = m[:: n + 1]  # a view: the diagonal entries, one column per prime
+        c = [-int(t) * pow(step, -1, p) % p for t, p in zip(diag.sum(axis=0).tolist(), primes)]
+        residues.append(c)
+        diag += c
+        m = m.reshape(n, n * used)
+    coeffs = [1]
+    for c in residues:
+        x = sum(r * w for r, w in zip(c, weights)) % modulus
+        coeffs.append(x - modulus if 2 * x > modulus else x)
+    return IntCharPoly(tuple(reversed(coeffs)))
 
 
 def exact_compare_rho(g, h):
     """Exact ordering of the spectral radii of two connected graphs.
 
-    Ties are settled by comparing the largest real roots of the integer
-    characteristic polynomials with exact rational arithmetic -- never by
-    float proximity.
+    Identical characteristic polynomials give EQUAL_POLY before any
+    float work.  Otherwise the largest eigvalsh eigenvalue of each
+    adjacency matrix seeds a bracket that is certified exactly (see
+    :func:`exactroots.compare_largest_roots`); the verdict rests on
+    integer sign computations only -- never on float proximity.
     """
     for gr in (g, h):
         if gr.n > 32:
@@ -296,7 +341,8 @@ def exact_compare_rho(g, h):
     q = int_charpoly(h).coeffs
     if p == q:
         return Ordering.EQUAL_POLY
-    c = exactroots.compare_largest_roots(p, q)
+    seeds = [float(np.linalg.eigvalsh(gr.adjacency_matrix())[-1]) for gr in (g, h)]
+    c = exactroots.compare_largest_roots(p, q, seeds=seeds)
     if c < 0:
         return Ordering.LESS
     if c > 0:

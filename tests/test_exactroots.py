@@ -1,7 +1,9 @@
-"""Exact root machinery: signs, Sturm counts, isolation, comparison.
+"""Exact root machinery: signs, Sturm counts, Descartes certificates,
+isolation, comparison.
 
 Oracle values come from hand factorizations; counts are cross-checked
-against numpy roots on random integer polynomials.
+against numpy roots on random integer polynomials.  Seeded comparisons
+must agree with the unseeded Sturm path, and wrong seeds must reach it.
 """
 
 import random
@@ -10,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from specrad import exactroots
 from specrad.exactroots import (
     cauchy_bound,
     compare_largest_roots,
@@ -19,6 +22,7 @@ from specrad.exactroots import (
     largest_real_root,
     normalize,
     poly_gcd,
+    shift_variations,
     sign_at,
     square_free_part,
     sturm_chain,
@@ -79,6 +83,73 @@ def test_sturm_counts_random_vs_numpy():
                 distinct += 1
             last = r
         assert got == distinct
+
+
+def test_shift_variations_hand_cases():
+    p = (-6, 11, -6, 1)  # (x-1)(x-2)(x-3)
+    assert shift_variations(p, 0) == 3                  # p itself: - + - +
+    assert shift_variations(p, 1) == 2                  # t(t-1)(t-2); the root at 1 is not above
+    assert shift_variations(p, Fraction(5, 2)) == 1     # (t+3/2)(t+1/2)(t-1/2)
+    assert shift_variations(p, 3) == 0                  # t(t+1)(t+2)
+
+
+def test_shift_variations_bound_keeps_parity():
+    # x^2 - x + 1 has no real root: V(0) = 2 over-counts by an even number
+    assert shift_variations((1, -1, 1), 0) == 2
+    rng = random.Random(4)
+    for _ in range(100):
+        deg = rng.randint(1, 6)
+        p = tuple(rng.randint(-9, 9) for _ in range(deg)) + (rng.randint(1, 9),)
+        r = Fraction(rng.randint(-40, 40), 8)
+        above = sum(1 for z in np.roots(list(reversed(p)))
+                    if abs(z.imag) < 1e-7 and z.real > float(r) + 1e-7)
+        v = shift_variations(p, r)
+        if all(abs(z.real - float(r)) > 1e-6 for z in np.roots(list(reversed(p)))):
+            assert v >= above and (v - above) % 2 == 0
+
+
+@pytest.fixture
+def sturm_calls(monkeypatch):
+    """Counts the Sturm chains built, i.e. how often the fallback runs."""
+    calls = []
+    real = exactroots.sturm_chain
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(exactroots, "sturm_chain", counting)
+    return calls
+
+
+def test_seeded_isolation_certifies_without_sturm(sturm_calls):
+    paw = (1, -2, -4, 0, 1)  # x^4 - 4x^2 - 2x + 1, largest root 2.170086486626034
+    loc = isolate_largest_root(paw, seed=2.170086486626034)
+    assert loc[0] == "interval" and not sturm_calls
+    _, lo, hi, _ = loc
+    assert lo < Fraction(2.170086486626034) < hi and hi - lo <= Fraction(1, 1 << 30)
+    _, lo, hi, _ = isolate_largest_root((-3, -2, 1), seed=3.0)
+    assert lo < 3 < hi
+    assert not sturm_calls
+
+
+@pytest.mark.parametrize("seed", [3.170086486626034, 0.311107817465982, -7.5,
+                                  float("nan"), 1e300])
+def test_wrong_seed_reaches_fallback(sturm_calls, seed):
+    # seeds: rho + 1, the second eigenvalue, far below every root, not a
+    # number, off the dyadic grid's float range
+    paw = (1, -2, -4, 0, 1)
+    loc = isolate_largest_root(paw, seed=seed)
+    assert sturm_calls
+    _, lo, hi, _ = loc
+    assert lo < Fraction(2.170086486626034) < hi
+
+
+def test_double_top_root_reaches_fallback(sturm_calls):
+    # (x-2)^2 (x+1): V just below 2 is 2, so no bracket certifies
+    loc = isolate_largest_root((4, 0, -3, 1), seed=2.0)
+    assert sturm_calls
+    assert loc == ("exact", 2) or loc[1] < 2 < loc[2]
 
 
 def test_square_free_part_collapses_multiplicity():
@@ -156,6 +227,35 @@ class TestCompare:
         assert compare_largest_roots(p, q) == -1
         assert compare_largest_roots(q, p) == 1
 
+    def test_wrong_seeds_same_answer(self, sturm_calls):
+        paw = (1, -2, -4, 0, 1)          # rho 2.1700..., second eigenvalue 0.3111...
+        c4 = (0, 0, -4, 0, 1)            # rho 2
+        c5 = (-2, 5, 0, -5, 0, 1)        # rho 2
+        assert compare_largest_roots(paw, c4, seeds=(3.170086486626034, 0.0)) == 1
+        assert compare_largest_roots(c4, c5, seeds=(3.0, 0.618033988749895)) == 0
+        assert sturm_calls
+        assert compare_largest_roots(paw, c4) == 1
+
+    def test_good_seeds_skip_sturm_and_gcd(self, sturm_calls, monkeypatch):
+        monkeypatch.setattr(exactroots, "poly_gcd", None)  # dyadic ties need no gcd
+        c4 = (0, 0, -4, 0, 1)
+        c5 = (-2, 5, 0, -5, 0, 1)
+        assert compare_largest_roots(c4, c5, seeds=(2.0, 2.0000000000000004)) == 0
+        assert compare_largest_roots(c4, c5, seeds=(1.9999999999999998, 2.0)) == 0
+        assert compare_largest_roots((-2, 0, 1), (-181, 128), seeds=(1.4142135623730951, 1.4140625)) == 1
+        assert not sturm_calls
+
+    def test_irrational_tie_takes_gcd(self, sturm_calls, monkeypatch):
+        gcds = []
+        real = exactroots.poly_gcd
+        monkeypatch.setattr(exactroots, "poly_gcd", lambda a, b: gcds.append(1) or real(a, b))
+        p = (-6, -2, 3, 1)     # (x^2 - 2)(x + 3)
+        q = (2, -2, -1, 1)     # (x^2 - 2)(x - 1)
+        r2 = 1.4142135623730951
+        assert compare_largest_roots(p, q, seeds=(r2, r2)) == 0
+        assert gcds and not sturm_calls
+        assert compare_largest_roots(p, (-3, 0, 1), seeds=(r2, 1.7320508075688772)) == -1
+
     def test_random_vs_numpy(self):
         rng = random.Random(9)
         for _ in range(60):
@@ -171,5 +271,6 @@ class TestCompare:
             rp = max(r.real for r in np.roots(list(reversed(p))) if abs(r.imag) < 1e-9)
             rq = max(r.real for r in np.roots(list(reversed(q))) if abs(r.imag) < 1e-9)
             got = compare_largest_roots(p, q)
+            assert compare_largest_roots(p, q, seeds=(rp, rq)) == got
             if abs(rp - rq) > 1e-6:
                 assert got == (1 if rp > rq else -1)

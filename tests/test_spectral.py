@@ -1,8 +1,10 @@
 """Eigensolvers: power iteration, Jacobi, exact characteristic polynomials.
 
 numpy.linalg.eigvalsh serves as the independent oracle for float
-spectra; a cofactor-expansion determinant over integer polynomials
-serves as the oracle for the exact characteristic polynomial.
+spectra.  Two oracles check the exact characteristic polynomial: a
+cofactor-expansion determinant over integer polynomials for small
+orders, and the integral Faddeev-LeVerrier recurrence in plain Python
+integers for every order up to 32.
 """
 
 import math
@@ -10,22 +12,30 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_connected_graph, random_graph
+from specrad import exactroots
 from specrad.graphs import (
     ExtremalParams,
+    Graph,
     complete,
     cycle,
     disjoint_union,
     extremal_graph,
     from_edges,
+    is_connected,
+    join,
     path,
     star,
 )
 from specrad.spectral import (
+    CHARPOLY_PRIMES,
     IntCharPoly,
     Ordering,
     Spectrum,
+    charpoly_bound,
     exact_compare_rho,
     full_spectrum,
     int_charpoly,
@@ -75,6 +85,66 @@ def charpoly_oracle(g):
             for j in range(n)] for i in range(n)]
     raw = _poly_det(mat)
     return tuple(raw[i] if i < len(raw) else 0 for i in range(n + 1))
+
+
+# -- oracle: integral Faddeev-LeVerrier in Python integers -----------------
+
+def faddeev_leverrier_charpoly(g):
+    """det(xI - A) by M <- A M + c I over the integers, ascending coefficients.
+
+    The auxiliary matrices stay integral, so the trace division by the
+    step index is exact; asserted, not assumed.  Row i of A is the
+    bitmask g.rows[i], so asymmetric rows are taken as they are.
+    """
+    n = g.n
+    rows = g.rows
+    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    cs = [1]  # descending: coefficient of x^n first
+    for step in range(1, n + 1):
+        am = []
+        for i in range(n):
+            acc = [0] * n
+            mask = rows[i]
+            while mask:
+                bit = mask & -mask
+                t = bit.bit_length() - 1
+                mask ^= bit
+                mt = m[t]
+                for j in range(n):
+                    acc[j] += mt[j]
+            am.append(acc)
+        tr = sum(am[i][i] for i in range(n))
+        q, r = divmod(-tr, step)
+        assert r == 0, "Faddeev-LeVerrier trace division must be exact"
+        cs.append(q)
+        for i in range(n):
+            am[i][i] += q
+        m = am
+    return tuple(reversed(cs))
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin; these bases decide every n < 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for b in bases:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class TestPerron:
@@ -270,6 +340,53 @@ class TestIntCharpoly:
         with pytest.raises(ValueError, match="32"):
             int_charpoly(path(33))
 
+    def test_against_reference_every_order(self):
+        rng = random.Random(16)
+        for n in range(1, 33):
+            for p in (0.2, 0.5, 0.9):
+                g = random_graph(rng, n, p)
+                assert int_charpoly(g).coeffs == faddeev_leverrier_charpoly(g), (n, p)
+
+    def test_against_reference_order_32(self):
+        empty16 = from_edges(16, [])
+        for g in (complete(32), join(empty16, empty16), star(31),
+                  extremal_graph(ExtremalParams(32, 5, 13))):
+            assert g.n == 32
+            assert int_charpoly(g).coeffs == faddeev_leverrier_charpoly(g)
+
+    def test_asymmetric_rows_within_bound(self):
+        # a malformed Graph (directed rows) still gets det(xI - A) exactly
+        rng = random.Random(17)
+        for n in (7, 20, 32):
+            rows = tuple(sum(1 << j for j in range(n) if j != i and rng.random() < 0.6)
+                         for i in range(n))
+            g = Graph(n, rows)
+            assert int_charpoly(g).coeffs == faddeev_leverrier_charpoly(g)
+
+    def test_prime_constants(self):
+        assert len(set(CHARPOLY_PRIMES)) == len(CHARPOLY_PRIMES)
+        for p in CHARPOLY_PRIMES:
+            assert _is_prime(p)
+            assert p > 32  # every step index has an inverse
+            # residues below 2p, 32 ones per row: A @ M stays exact in float64
+            assert 2 * 32 * p < 2**53
+        # K_32, and an all-ones 32 x 32 matrix (the most a malformed Graph can hold)
+        assert math.prod(CHARPOLY_PRIMES) > 2 * charpoly_bound(32, 32 * 31)
+        assert math.prod(CHARPOLY_PRIMES) > 2 * charpoly_bound(32, 32 * 32)
+
+    def test_bound_covers_coefficients(self):
+        rng = random.Random(18)
+        graphs = [complete(32), star(31), complete(1)]
+        graphs += [random_graph(rng, n, 0.8) for n in (5, 17, 32)]
+        for g in graphs:
+            c = int_charpoly(g).coeffs
+            assert max(abs(x) for x in c) <= charpoly_bound(g.n, 2 * g.edge_count)
+        # the all-ones matrix: det(xI - J) = x^(n-1) (x - n)
+        for n in (1, 6, 32):
+            j = Graph(n, ((1 << n) - 1,) * n)
+            assert int_charpoly(j).coeffs == (0,) * (n - 1) + (-n, 1)
+            assert n <= charpoly_bound(n, n * n)
+
 
 class TestExactCompare:
     def test_proper_subgraph_strict(self):
@@ -311,3 +428,52 @@ class TestExactCompare:
     def test_requires_connected(self):
         with pytest.raises(ValueError, match="connected"):
             exact_compare_rho(disjoint_union(complete(2), complete(2)), complete(3))
+
+    def test_equal_rho_regular_orders(self):
+        # circulants C_n(1, 2) are connected and 4-regular, so rho = 4 for every n
+        def circulant(n):
+            return from_edges(n, [(i, (i + s) % n) for i in range(n) for s in (1, 2)])
+        for n, m in ((8, 11), (13, 24), (9, 10)):
+            assert exact_compare_rho(circulant(n), circulant(m)) is Ordering.EQUAL_RHO
+
+    def test_near_tie_one_edge_move(self):
+        # the one-edge move of an extremal graph that comes closest to its radius
+        g = extremal_graph(ExtremalParams(14, 3, 5))
+        edges = list(g.edges())
+        absent = [(i, j) for j in range(14) for i in range(j) if not g.has_edge(i, j)]
+        rho = np.linalg.eigvalsh(g.adjacency_matrix())[-1]
+        moves = []
+        for drop in edges:
+            for add in absent:
+                h = from_edges(14, [e for e in edges if e != drop] + [add])
+                if is_connected(h):
+                    moves.append((rho - np.linalg.eigvalsh(h.adjacency_matrix())[-1], h))
+        gap, h = min(moves, key=lambda m: abs(m[0]))
+        assert 1e-9 < gap < 1e-2
+        assert exact_compare_rho(g, h) is Ordering.GREATER
+        assert exact_compare_rho(h, g) is Ordering.LESS
+        assert exactroots.compare_largest_roots(int_charpoly(g).coeffs,
+                                                int_charpoly(h).coeffs) == 1
+
+
+@st.composite
+def connected_graphs(draw, max_n=12):
+    """A random spanning tree (parent of i drawn from 0..i-1) plus random extra edges."""
+    n = draw(st.integers(1, max_n))
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    slots = [(i, j) for j in range(n) for i in range(j)]
+    extra = draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)))
+    edges |= {e for e, keep in zip(slots, extra) if keep}
+    return from_edges(n, edges)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(connected_graphs(), connected_graphs())
+def test_exact_compare_agrees_with_unseeded_sturm(g, h):
+    p, q = int_charpoly(g).coeffs, int_charpoly(h).coeffs
+    got = exact_compare_rho(g, h)
+    if p == q:
+        assert got is Ordering.EQUAL_POLY
+    else:
+        want = {-1: Ordering.LESS, 0: Ordering.EQUAL_RHO, 1: Ordering.GREATER}
+        assert got is want[exactroots.compare_largest_roots(p, q)]
