@@ -9,8 +9,8 @@ reachability.
 
 For the census inner loop, :func:`connectivity_at_most` decides
 kappa(G) <= k directly by exhausting vertex subsets of size <= k with
-allocation-free bitset BFS; it is equivalent to the max-flow route
-(tested) and much faster at desk scale.
+the bitset BFS of :mod:`specrad.graphs`; it is equivalent to the
+max-flow route (tested) and much faster at desk scale.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import components, induced_subgraph, is_connected
+from .graphs import _component_mask, components, induced_subgraph, is_connected
 
 __all__ = [
     "CutWitness",
@@ -176,6 +176,8 @@ def connectivity_at_most(g, k):
     Equivalent to vertex_connectivity(g)[0] <= k; used where the flow
     machinery would dominate the running time (census inner loop).
     """
+    if k < 0:
+        return False  # kappa >= 0 > k
     n = g.n
     if k >= n - 1:
         return True
@@ -187,23 +189,10 @@ def connectivity_at_most(g, k):
     rows = g.rows
     for size in range(1, k + 1):
         for combo in combinations(range(n), size):
-            smask = 0
+            avail = full
             for v in combo:
-                smask |= 1 << v
-            avail = full & ~smask
-            start = avail & -avail
-            seen = start
-            frontier = start
-            while frontier:
-                nxt = 0
-                m = frontier
-                while m:
-                    b = m & -m
-                    nxt |= rows[b.bit_length() - 1]
-                    m ^= b
-                frontier = nxt & avail & ~seen
-                seen |= frontier
-            if seen != avail:
+                avail &= ~(1 << v)
+            if _component_mask(rows, avail, avail & -avail) != avail:
                 return True
     return False
 

@@ -4,16 +4,17 @@ Polynomials are tuples of Python ints in ascending power order.  All
 sign decisions are exact: evaluation at a rational num/den reduces to an
 integer sign.  The largest real root is located in one of two ways.
 
-* Seeded certificate.  Given a float estimate, dyadic brackets (lo, hi]
-  of widening reach around it are tried.  :func:`shift_variations`
-  counts the sign variations V(r) of p(r + t); by Descartes' rule of
-  signs V(r) bounds the number of roots above r and has the same
-  parity, so V(hi) = 0 and V(lo) = 1 prove that p has exactly one root
-  above lo, that it is simple, and that it lies in (lo, hi].  The proof
-  holds for every integer polynomial; for a real-rooted one (the
-  characteristic polynomial of a symmetric matrix) V(r) is exactly the
-  number of roots above r, so a tight bracket around a good seed always
-  certifies.
+* Seeded certificate.  Given a float estimate (a caller's eigenvalue,
+  or numpy's polynomial roots in :func:`largest_real_root`), dyadic
+  brackets (lo, hi] of widening reach around it are tried.
+  :func:`shift_variations` counts the sign variations V(r) of p(r + t);
+  by Descartes' rule of signs V(r) bounds the number of roots above r
+  and has the same parity, so V(hi) = 0 and V(lo) = 1 prove that p has
+  exactly one root above lo, that it is simple, and that it lies in
+  (lo, hi].  The proof holds for every integer polynomial; for a
+  real-rooted one (the characteristic polynomial of a symmetric
+  matrix) V(r) is exactly the number of roots above r, so a tight
+  bracket around a good seed always certifies.
 * Sturm fallback.  Without a seed, or when no bracket certifies, the
   square-free part's Sturm chain counts roots while the Cauchy interval
   is bisected.
@@ -30,6 +31,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from math import gcd
+
+import numpy as np
 
 __all__ = [
     "normalize",
@@ -349,14 +352,27 @@ def isolate_largest_root(p, width=Fraction(1, 1 << 30), seed=None):
 
 
 def largest_real_root(p, abs_tol=1e-12):
-    """Largest real root of p as a float, within abs_tol."""
-    target = Fraction(abs_tol).limit_denominator(1 << 62) / 4
-    loc = _refine(isolate_largest_root(p), target)
+    """Largest real root of p as a float, within abs_tol.
+
+    The largest real part among numpy's roots of p is the seed.  When the
+    integer m nearest to it has p(m) = 0 and V(m) = 0, Descartes' rule
+    proves m the largest root, exactly (this covers repeated roots on
+    top, which no bracket certifies).  Otherwise the seed goes to
+    :func:`isolate_largest_root`, whose interval is bisected to abs_tol
+    and the midpoint polished by Newton steps clamped to it.
+    """
+    p = normalize(p)
+    roots = np.roots(np.array(p[::-1], dtype=float))
+    seed = float(roots.real.max()) if len(roots) else None
+    if seed is not None and math.isfinite(seed):
+        m = round(seed)
+        if sign_at(p, m) == 0 and shift_variations(p, m) == 0:
+            return float(m)
+    loc = _refine(isolate_largest_root(p, seed=seed), Fraction(abs_tol) / 4)
     if loc[0] == "exact":
         return float(loc[1])
     _, lo, hi, _ = loc
     x = float((lo + hi) / 2)
-    # light Newton polish, clamped to the certified interval
     flo, fhi = float(lo), float(hi)
     dp = derivative(p)
     for _ in range(3):

@@ -10,15 +10,13 @@ the clique-join family to the largest root of a cubic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import exactroots
 from .graphs import ExtremalParams
-from .spectral import RESIDUAL_FACTOR, Spectrum, _power_iterate, full_spectrum
+from .spectral import Spectrum, _top_pair, full_spectrum
 
 __all__ = [
     "Partition",
@@ -27,7 +25,6 @@ __all__ = [
     "canonical_three_blocks",
     "is_equitable",
     "quotient_matrix",
-    "three_part_quotient",
     "two_clique_quotient",
     "cubic_coefficients",
     "largest_cubic_root",
@@ -133,29 +130,13 @@ def quotient_matrix(g, p):
                           tuple(tuple(row) for row in counts))
 
 
-def three_part_quotient(p: ExtremalParams):
-    """Closed-form quotient of the canonical (S, A, B) partition.
-
-    [[k-1, a, b], [k, a-1, 0], [k, 0, b-1]] with a = delta-k+1 and
-    b = n-delta-1; equals quotient_matrix(extremal_graph(p), canonical)
-    entrywise because the partition is equitable.
-    """
-    p.validate()
-    k, a, b = p.block_sizes
-    q = np.array([[k - 1, a, b],
-                  [k, a - 1, 0],
-                  [k, 0, b - 1]], dtype=float)
-    counts = ((k * (k - 1) // 2, k * a, k * b),
-              (k * a, a * (a - 1) // 2, 0),
-              (k * b, 0, b * (b - 1) // 2))
-    return QuotientMatrix(q, (k, a, b), counts)
-
-
 def two_clique_quotient(k, n1, n2):
     """Quotient of a k-clique joined to two disjoint cliques K_n1, K_n2.
 
-    The general two-clique form [[k-1, n1, n2], [k, n1-1, 0],
-    [k, 0, n2-1]]; three_part_quotient is the case n1 = delta-k+1.
+    [[k-1, n1, n2], [k, n1-1, 0], [k, 0, n2-1]].  For ExtremalParams p,
+    two_clique_quotient(*p.block_sizes) equals
+    quotient_matrix(extremal_graph(p), canonical_three_blocks(p))
+    entrywise, because that partition is equitable.
     """
     if k < 1 or n1 < 1 or n2 < 1:
         raise ValueError("two_clique_quotient needs k, n1, n2 >= 1")
@@ -203,116 +184,15 @@ def cubic_coefficients(p: ExtremalParams):
     return CubicCoeffs(c2, c1, c0)
 
 
-def _float_largest_of_three(c2, c1, c0):
-    """Largest root when the discriminant is positive (three real roots)."""
-    pp = c1 - c2 * c2 / 3.0
-    q = 2.0 * c2**3 / 27.0 - c2 * c1 / 3.0 + c0
-    m = 2.0 * math.sqrt(max(0.0, -pp / 3.0))
-    if m == 0.0:
-        return -c2 / 3.0
-    arg = min(1.0, max(-1.0, 3.0 * q / (pp * m)))
-    return m * math.cos(math.acos(arg) / 3.0) - c2 / 3.0
-
-
 def largest_cubic_root(c: CubicCoeffs, abs_tol=1e-12):
     """Largest real root of the cubic, within abs_tol; deterministic.
 
-    Strategy: split on the exact integer discriminant.  With a repeated
-    root everything is rational and solved exactly.  With one real root,
-    exact sign bisection over the Cauchy interval applies directly.
-    With three distinct roots a float estimate seeds an exactly
-    certified bracket around the largest root (polynomial negative on
-    the left end, positive on the right, derivative conditions pinning
-    both ends at or beyond the larger critical point), bisected exactly
-    and polished by Newton; if certification fails the Sturm-based
-    fallback takes over.
+    The generic certified root of :func:`exactroots.largest_real_root`:
+    an integer root is proved largest exactly, otherwise a float seed's
+    bracket is certified by Descartes' rule of signs (Sturm bisection
+    only if that fails) and refined by exact sign bisection.
     """
-    c2, c1, c0 = c.c2, c.c1, c.c0
-    p = c.as_poly()
-    disc = (18 * c2 * c1 * c0 - 4 * c2**3 * c0 + c2 * c2 * c1 * c1
-            - 4 * c1**3 - 27 * c0 * c0)
-    if disc == 0:
-        return _repeated_root_case(c2, c1, c0)
-    if disc < 0:
-        return _bisect_single_root(p, abs_tol)
-    xhat = _float_largest_of_three(c2, c1, c0)
-    root = _certified_bracket_root(p, c2, c1, xhat, abs_tol)
-    if root is not None:
-        return root
-    return exactroots.largest_real_root(p, abs_tol)
-
-
-def _repeated_root_case(c2, c1, c0):
-    # discriminant 0: all roots rational
-    p = (c0, c1, c2, 1)
-    g = exactroots.poly_gcd(p, exactroots.derivative(p))
-    if len(g) == 3:  # triple root
-        return float(Fraction(-c2, 3))
-    assert len(g) == 2, "zero discriminant must give a repeated root"
-    double = Fraction(-g[0], g[1])
-    simple = Fraction(-c2) - 2 * double
-    return float(max(double, simple))
-
-
-def _bisect_single_root(p, abs_tol):
-    bound = exactroots.cauchy_bound(p)
-    lo, hi = Fraction(-bound), Fraction(bound)
-    target = Fraction(abs_tol) / 4
-    while hi - lo > target:
-        mid = (lo + hi) / 2
-        s = exactroots.sign_at(p, mid)
-        if s == 0:
-            return float(mid)
-        if s < 0:
-            lo = mid
-        else:
-            hi = mid
-    return _newton_polish(p, float(lo), float(hi))
-
-
-def _certified_bracket_root(p, c2, c1, xhat, abs_tol):
-    dp = (c1, 2 * c2, 3)
-    scale = 40
-    base = math.floor(xhat * (1 << scale))
-    for h in (1, 4, 64, 1 << 12, 1 << 20):
-        lo = Fraction(base - h, 1 << scale)
-        hi = Fraction(base + h, 1 << scale)
-        if (exactroots.sign_at(p, lo) <= 0 < exactroots.sign_at(p, hi)
-                and exactroots.sign_at(dp, lo) >= 0
-                and exactroots.sign_at((2 * c2, 6), lo) >= 0
-                and exactroots.sign_at(dp, hi) >= 0):
-            # p increases through the bracket, so only the largest root is inside
-            target = Fraction(abs_tol) / 4
-            while hi - lo > target:
-                mid = (lo + hi) / 2
-                s = exactroots.sign_at(p, mid)
-                if s == 0:
-                    return float(mid)
-                if s < 0:
-                    lo = mid
-                else:
-                    hi = mid
-            return _newton_polish(p, float(lo), float(hi))
-    return None
-
-
-def _newton_polish(p, flo, fhi):
-    x = (flo + fhi) / 2
-    dp = exactroots.derivative(p)
-    for _ in range(3):
-        fx = _horner(p, x)
-        dx = _horner(dp, x)
-        if dx == 0:
-            break
-        x = min(max(x - fx / dx, flo), fhi)
-    return x
-
-
-def _horner(p, x):
-    acc = 0.0
-    for cc in reversed(p):
-        acc = acc * x + cc
-    return acc
+    return exactroots.largest_real_root(c.as_poly(), abs_tol)
 
 
 def _symmetrized(qm: QuotientMatrix):
@@ -325,25 +205,23 @@ def quotient_spectrum(qm: QuotientMatrix):
     """All eigenvalues of a quotient matrix.
 
     Q is not symmetric, but edge-count symmetry n_i q_ij = n_j q_ji makes
-    D^{1/2} Q D^{-1/2} symmetric for D = diag(n_i), so the Jacobi solver
-    applies after that similarity transform.
+    D^{1/2} Q D^{-1/2} symmetric for D = diag(n_i), so the symmetric
+    eigensolver applies after that similarity transform.
     """
     return full_spectrum(_symmetrized(qm)[0])
 
 
-def quotient_perron(qm: QuotientMatrix, tol=1e-14, max_iter=200_000):
+def quotient_perron(qm: QuotientMatrix):
     """Dominant eigenpair (rho, x) of a nonnegative irreducible quotient.
 
-    Power iteration runs on the symmetric S = D^{1/2} Q D^{-1/2} through
-    the shared core, whose residual gate bounds ||S u - rho u||_inf.
-    With x = D^{-1/2} u, Q x = rho x; the vertex vector lifted from x has
-    unit norm (sum n_i x_i^2 = ||u||^2), and its residual on an equitable
-    partition is (S u - rho u)_i / sqrt(n_i), no larger than the gated one.
+    The top eigenpair (u positive, unit norm) of the symmetric
+    S = D^{1/2} Q D^{-1/2} gives x = D^{-1/2} u with Q x = rho x.  The
+    vertex vector lifted from x has unit norm (sum n_i x_i^2 = ||u||^2),
+    and its residual on an equitable partition is
+    (S u - rho u)_i / sqrt(n_i), no larger than that of u.
     """
     sym, d = _symmetrized(qm)
-    m = sym.shape[0]
-    u = np.full(m, 1.0 / math.sqrt(m))
-    rho, u, _ = _power_iterate(sym, u, tol, RESIDUAL_FACTOR, max_iter)
+    rho, u = _top_pair(sym)
     return rho, u / d
 
 

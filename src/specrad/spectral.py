@@ -1,13 +1,9 @@
-"""Self-contained symmetric eigensolvers.
+"""Graph spectra: float eigenpairs from LAPACK, exact characteristic polynomials.
 
-Three independent routes to a graph's spectrum, cross-checkable against
-each other:
-
-* :func:`perron` -- power iteration for the dominant eigenpair of a
-  connected graph (the only place the spectral radius is computed in
-  bulk);
-* :func:`full_spectrum` -- cyclic Jacobi rotations for all eigenvalues
-  of a symmetric matrix;
+* :func:`perron`, :func:`perron_rho_batch`, :func:`full_spectrum` --
+  numpy's LAPACK symmetric eigensolver, for the dominant eigenpair of a
+  connected graph (checked by :class:`PerronPair`), the spectral radii
+  of a batch, and whole spectra;
 * :func:`int_charpoly` / :func:`exact_compare_rho` -- exact integer
   characteristic polynomials (modular Faddeev-LeVerrier, rebuilt by CRT
   from primes whose product covers a proven coefficient bound) with
@@ -39,14 +35,10 @@ __all__ = [
     "exact_compare_rho",
     "charpoly_bound",
     "CHARPOLY_PRIMES",
-    "DEFAULT_TOL",
     "RESIDUAL_FACTOR",
-    "MAX_ITER",
 ]
 
-DEFAULT_TOL = 1e-13        # Rayleigh-increment convergence test
 RESIDUAL_FACTOR = 1e-10    # ||A v - rho v||_inf <= factor * max(1, rho)
-MAX_ITER = 10**6
 
 
 @dataclass(frozen=True)
@@ -114,140 +106,54 @@ class Ordering(enum.Enum):
     GREATER = "greater"
 
 
-def _power_iterate(a, x, tol, residual_factor, max_iter):
-    """Shared power-iteration core on (A + I); returns (rho, vec, residual).
+def _top_pair(a):
+    """Largest eigenvalue of a symmetric matrix and its eigenvector, summing >= 0.
 
-    Iterating on A + I damps the period-2 oscillation a bipartite graph
-    would otherwise induce, without moving the eigenvector.
+    A Perron vector is determined up to sign; LAPACK picks either, so
+    the sign is fixed by the sum of the entries.
     """
-    rho_prev = math.inf
-    for it in range(max_iter):
-        z = a @ x
-        rho = float(x @ z)
-        res = float(np.max(np.abs(z - rho * x)))
-        scale = max(1.0, abs(rho))
-        if abs(rho - rho_prev) <= tol * scale and res <= residual_factor * scale:
-            return rho, x, res
-        rho_prev = rho
-        y = z + x
-        nrm = np.linalg.norm(y)
-        x = y / nrm
-    raise RuntimeError(
-        f"power iteration did not converge in {max_iter} steps (last residual {res:.3e})")
+    w, v = np.linalg.eigh(a)
+    u = v[:, -1]
+    return float(w[-1]), (-u if u.sum() < 0 else u)
 
 
-def perron(g, tol=DEFAULT_TOL, max_iter=MAX_ITER, start=None):
-    """Dominant eigenpair of a connected graph by power iteration.
+def perron(g):
+    """Dominant eigenpair of a connected graph.
 
-    Starts from the all-ones direction (or `start`, any positive vector;
-    the limit is the same either way) and stops once the Rayleigh
-    quotient stabilizes to `tol` and the residual passes the PerronPair
-    gate.  Disconnected input is rejected: the adjacency matrix is then
-    reducible and callers should decompose into components first.
+    The top pair of LAPACK's symmetric eigensolver, with the sign fixed
+    so the vector is positive, passes the PerronPair gate (unit norm,
+    residual, positivity) before it is returned.  Disconnected input is
+    rejected: the adjacency matrix is then reducible and callers should
+    decompose into components first.
     """
     if not is_connected(g):
         raise ValueError("perron requires a connected graph; decompose first")
     a = g.adjacency_matrix()
-    n = g.n
-    if start is None:
-        x = np.full(n, 1.0 / math.sqrt(n))
-    else:
-        x = np.asarray(start, dtype=float)
-        if x.shape != (n,) or np.min(x) <= 0:
-            raise ValueError("start vector must be positive of length n")
-        x = x / np.linalg.norm(x)
-    rho, vec, _ = _power_iterate(a, x, tol, RESIDUAL_FACTOR, max_iter)
-    return PerronPair(rho, vec).check(a)
+    return PerronPair(*_top_pair(a)).check(a)
 
 
-def perron_rho_batch(mats, tol=1e-15, residual_factor=1e-11, max_iter=500_000,
-                     start=None, require_positive=False):
+def perron_rho_batch(mats):
     """Spectral radii of a stack of adjacency matrices (B, n, n).
 
-    Batched variant of the same (A + I) power iteration.  Each matrix
-    follows its own trajectory and freezes at its own stopping point, so
-    per-graph results do not depend on how the batch was grouped -- the
-    property the census relies on for shard determinism.  Matrices must
-    be adjacency matrices of connected graphs.
+    The largest eigenvalue of each matrix, which for a nonnegative
+    symmetric matrix is its spectral radius.  LAPACK runs on each matrix
+    on its own, so per-graph results do not depend on how the batch was
+    grouped -- the property the census relies on for shard determinism.
     """
-    a = np.asarray(mats, dtype=float)
-    b, n, _ = a.shape
-    if start is None:
-        x = np.full((b, n), 1.0 / math.sqrt(n))
-    else:
-        x = np.asarray(start, dtype=float).copy()
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-    rho = np.zeros(b)
-    prev = np.full(b, np.inf)
-    active = np.ones(b, dtype=bool)
-    for _ in range(max_iter):
-        z = np.matmul(a, x[:, :, None])[:, :, 0]
-        new_rho = np.einsum("ij,ij->i", x, z)
-        res = np.max(np.abs(z - new_rho[:, None] * x), axis=1)
-        scale = np.maximum(1.0, np.abs(new_rho))
-        rho = np.where(active, new_rho, rho)
-        y = z + x
-        y /= np.linalg.norm(y, axis=1, keepdims=True)
-        done = (np.abs(new_rho - prev) <= tol * scale) & (res <= residual_factor * scale)
-        stalled = np.all(y == x, axis=1)  # fixed point in float arithmetic
-        active &= ~(done | stalled)
-        if not active.any():
-            if require_positive and np.min(x) <= 0:
-                raise RuntimeError("batched Perron vector lost positivity")
-            return rho
-        prev = np.where(active, new_rho, prev)
-        x = np.where(active[:, None], y, x)
-    raise RuntimeError(f"batched power iteration: {int(active.sum())} matrices "
-                       f"unconverged after {max_iter} steps")
+    return np.linalg.eigvalsh(np.asarray(mats, dtype=float))[:, -1]
 
 
-def full_spectrum(m, off_factor=1e-12, max_sweeps=64):
-    """All eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
+def full_spectrum(m):
+    """All eigenvalues of a symmetric matrix, from LAPACK.
 
-    Sweeps until the off-diagonal Frobenius mass drops below
-    off_factor * ||m||_F.  Input must be symmetric within 1e-12.
+    Input must be square and symmetric within 1e-12.
     """
     a = np.array(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("full_spectrum needs a square matrix")
     if a.size and np.max(np.abs(a - a.T)) > 1e-12:
         raise ValueError("matrix is not symmetric within 1e-12")
-    a = (a + a.T) / 2.0
-    n = a.shape[0]
-    norm = np.linalg.norm(a)
-    if n == 1 or norm == 0.0:
-        return Spectrum(tuple(np.sort(np.diag(a))))
-    target = off_factor * norm
-    offdiag = np.ones((n, n)) - np.eye(n)
-    for _ in range(max_sweeps):
-        off = float(np.linalg.norm(a * offdiag))
-        if off <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                app, aqq = a[p, p], a[q, q]
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = a[q, p] = 0.0
-        norm = np.linalg.norm(a)
-    else:
-        raise RuntimeError("Jacobi sweeps did not reduce off-diagonal mass")
-    return Spectrum(tuple(float(v) for v in np.sort(np.diag(a))))
+    return Spectrum(tuple(float(v) for v in np.linalg.eigvalsh((a + a.T) / 2.0)))
 
 
 # Faddeev-LeVerrier runs modulo these primes, both below 2^46.  Residues

@@ -108,8 +108,13 @@ class TestSubsetRoute:
         for _ in range(80):
             g = random_graph(rng, rng.randint(1, 8))
             kappa = vertex_connectivity(g)[0]
-            for k in range(0, g.n):
+            for k in range(-2, g.n):
                 assert connectivity_at_most(g, k) == (kappa <= k)
+
+    def test_negative_k_is_false(self):
+        # kappa >= 0 for every graph, the disconnected ones included
+        for g in (disjoint_union(complete(2), complete(2)), complete(1), path(4)):
+            assert not connectivity_at_most(g, -1)
 
 
 class TestIsKConnected:

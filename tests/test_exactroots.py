@@ -2,8 +2,9 @@
 isolation, comparison.
 
 Oracle values come from hand factorizations; counts are cross-checked
-against numpy roots on random integer polynomials.  Seeded comparisons
-must agree with the unseeded Sturm path, and wrong seeds must reach it.
+against numpy roots on random integer polynomials.  Seeded comparisons,
+and the self-seeded largest_real_root, must agree with the unseeded
+Sturm path, and wrong seeds must reach it.
 """
 
 import random
@@ -11,9 +12,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from specrad import exactroots
 from specrad.exactroots import (
+    _refine,
     cauchy_bound,
     compare_largest_roots,
     count_roots_in,
@@ -27,6 +31,7 @@ from specrad.exactroots import (
     square_free_part,
     sturm_chain,
 )
+from test_spectral import _poly_mul
 
 
 def test_sign_at_basics():
@@ -108,20 +113,6 @@ def test_shift_variations_bound_keeps_parity():
             assert v >= above and (v - above) % 2 == 0
 
 
-@pytest.fixture
-def sturm_calls(monkeypatch):
-    """Counts the Sturm chains built, i.e. how often the fallback runs."""
-    calls = []
-    real = exactroots.sturm_chain
-
-    def counting(p):
-        calls.append(p)
-        return real(p)
-
-    monkeypatch.setattr(exactroots, "sturm_chain", counting)
-    return calls
-
-
 def test_seeded_isolation_certifies_without_sturm(sturm_calls):
     paw = (1, -2, -4, 0, 1)  # x^4 - 4x^2 - 2x + 1, largest root 2.170086486626034
     loc = isolate_largest_root(paw, seed=2.170086486626034)
@@ -197,6 +188,40 @@ def test_largest_real_root_double_root_on_top():
 def test_no_real_root_raises():
     with pytest.raises(ValueError):
         isolate_largest_root((1, 0, 1))  # x^2 + 1
+    with pytest.raises(ValueError):
+        largest_real_root((1, 0, 1))
+    with pytest.raises(ValueError):
+        largest_real_root((5,))
+
+
+@st.composite
+def real_rooted_factored(draw):
+    """Degree 1-6: linear factors (a x - b), one of them repeated up to three
+    times, times monic quadratics x^2 + b x + c that may be complex pairs."""
+    lin = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(-6, 6)), min_size=1, max_size=4))
+    lin += [lin[0]] * draw(st.integers(0, min(2, 6 - len(lin))))
+    quad = draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 9)),
+                         max_size=(6 - len(lin)) // 2))
+    p = (1,)
+    for a, b in lin:
+        p = _poly_mul(p, (-b, a))
+    for b, c in quad:
+        p = _poly_mul(p, (c, b, 1))
+    return p
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(real_rooted_factored(), st.sampled_from([1e-12, 1e-6]))
+# an integer root just below the largest, nearest to the seed:
+# (x-2)(3x-7) and (x-2)(2x-5), where round(2.5) = 2; and a double root
+# under the top with a complex pair: (x-3)^2 (2x-7) (x^2-6x+10)
+@example((14, -13, 3), 1e-12)
+@example((10, -9, 2), 1e-12)
+@example((-630, 978, -613, 194, -31, 2), 1e-12)
+def test_self_seeded_root_agrees_with_unseeded(p, abs_tol):
+    loc = _refine(isolate_largest_root(p), Fraction(abs_tol) / 4)
+    want = float(loc[1]) if loc[0] == "exact" else float((loc[1] + loc[2]) / 2)
+    assert abs(largest_real_root(p, abs_tol) - want) <= abs_tol
 
 
 class TestCompare:

@@ -1,6 +1,5 @@
 """Quotient matrices, the closed-form cubic, interlacing, lifting."""
 
-import math
 import random
 
 import numpy as np
@@ -20,10 +19,10 @@ from specrad.quotient import (
     quotient_matrix,
     quotient_perron,
     quotient_spectrum,
-    three_part_quotient,
     two_clique_quotient,
 )
-from specrad.spectral import Spectrum, full_spectrum, perron
+from specrad.spectral import Spectrum, full_spectrum, int_charpoly, perron
+from test_spectral import _poly_mul, jacobi_eigenvalues
 
 PAW_RHO = 2.170086486626034
 RHO_723 = 4.518816693272298  # largest root of x^3-4x^2-5x+12 (sign change 4.5 / 4.52)
@@ -40,6 +39,12 @@ def charpoly3_oracle(q):
            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
     return (-tr, minors, -det)  # (c2, c1, c0)
+
+
+def symmetric_form(qm):
+    """D^{1/2} Q D^{-1/2}, D = diag(block sizes): symmetric, same spectrum as Q."""
+    d = np.sqrt(np.array(qm.sizes, dtype=float))
+    return qm.matrix * np.outer(d, 1.0 / d)
 
 
 def random_partition(rng, n, m):
@@ -93,7 +98,7 @@ class TestQuotientMatrix:
         assert np.array_equal(qm.matrix, [[1, 2, 3], [2, 1, 0], [2, 0, 2]])
 
     def test_closed_form_411(self):
-        qm = three_part_quotient(ExtremalParams(4, 1, 1))
+        qm = two_clique_quotient(*ExtremalParams(4, 1, 1).block_sizes)
         assert np.array_equal(qm.matrix, [[0, 1, 2], [1, 0, 0], [1, 0, 1]])
 
     def test_closed_form_matches_counted_on_grid(self):
@@ -102,7 +107,7 @@ class TestQuotientMatrix:
                 for d in range(k, n - 1):
                     p = ExtremalParams(n, k, d)
                     counted = quotient_matrix(extremal_graph(p), canonical_three_blocks(p))
-                    closed = three_part_quotient(p)
+                    closed = two_clique_quotient(*p.block_sizes)
                     assert np.array_equal(counted.matrix, closed.matrix)
                     assert counted.edge_counts == closed.edge_counts
 
@@ -138,13 +143,13 @@ class TestCubicCoefficients:
     def test_723_against_det_oracle(self):
         c = cubic_coefficients(ExtremalParams(7, 2, 3))
         assert (c.c2, c.c1, c.c0) == (-4, -5, 12)
-        q = three_part_quotient(ExtremalParams(7, 2, 3)).matrix
+        q = two_clique_quotient(*ExtremalParams(7, 2, 3).block_sizes).matrix
         assert charpoly3_oracle(q) == (-4, -5, 12)
 
     def test_411_against_det_oracle(self):
         c = cubic_coefficients(ExtremalParams(4, 1, 1))
         assert (c.c2, c.c1, c.c0) == (-1, -3, 1)
-        q = three_part_quotient(ExtremalParams(4, 1, 1)).matrix
+        q = two_clique_quotient(*ExtremalParams(4, 1, 1).block_sizes).matrix
         assert charpoly3_oracle(q) == (-1, -3, 1)
 
     def test_det_oracle_on_grid(self):
@@ -153,7 +158,7 @@ class TestCubicCoefficients:
                 for d in range(k, n - 1):
                     p = ExtremalParams(n, k, d)
                     c = cubic_coefficients(p)
-                    got = charpoly3_oracle(three_part_quotient(p).matrix)
+                    got = charpoly3_oracle(two_clique_quotient(*p.block_sizes).matrix)
                     assert got == (c.c2, c.c1, c.c0)
                     assert c.c2 == 3 - n
 
@@ -192,6 +197,21 @@ class TestLargestCubicRoot:
         got = largest_cubic_root(CubicCoeffs(0, 1, 1))
         assert got**3 + got + 1 == pytest.approx(0.0, abs=1e-10)
 
+    def test_extremal_cubics_skip_sturm(self, sturm_calls):
+        # every valid triple with n < 40: certified without the fallback,
+        # and equal to the top eigenvalue of the symmetrized quotient
+        count = 0
+        for n in range(4, 40):
+            for k in range(1, n - 1):
+                for d in range(k, n - 1):
+                    p = ExtremalParams(n, k, d)
+                    root = largest_cubic_root(cubic_coefficients(p))
+                    sym = symmetric_form(two_clique_quotient(*p.block_sizes))
+                    assert abs(root - np.linalg.eigvalsh(sym)[-1]) <= 1e-9, p
+                    count += 1
+        assert count == 9138
+        assert not sturm_calls
+
     def test_random_vs_numpy(self):
         rng = random.Random(33)
         for _ in range(200):
@@ -211,9 +231,20 @@ class TestEndToEnd:
                     rho = perron(extremal_graph(p)).rho
                     assert abs(root - rho) <= 1e-9
 
+    def test_charpoly_is_cubic_times_power(self):
+        # det(xI - A) = (x + 1)^(n-3) * cubic, exactly, for every valid triple
+        for n in range(4, 16):
+            for k in range(1, n - 1):
+                for d in range(k, n - 1):
+                    p = ExtremalParams(n, k, d)
+                    want = cubic_coefficients(p).as_poly()
+                    for _ in range(n - 3):
+                        want = _poly_mul(want, (1, 1))
+                    assert int_charpoly(extremal_graph(p)).coeffs == want, p
+
     def test_quotient_largest_eig_equals_rho(self):
         p = ExtremalParams(7, 2, 3)
-        qs = quotient_spectrum(three_part_quotient(p))
+        qs = quotient_spectrum(two_clique_quotient(*p.block_sizes))
         assert qs.largest == pytest.approx(perron(extremal_graph(p)).rho, abs=1e-9)
 
 
@@ -245,7 +276,7 @@ class TestLifting:
                         continue
                     p = ExtremalParams(n, k, d)
                     g = extremal_graph(p)
-                    qm = three_part_quotient(p)
+                    qm = two_clique_quotient(*p.block_sizes)
                     rho, x = quotient_perron(qm)
                     y = lift_block_vector(canonical_three_blocks(p), x)
                     y /= np.linalg.norm(y)
@@ -257,6 +288,8 @@ class TestInterlacing:
     def test_equal_spectra(self):
         s = full_spectrum(complete(4).adjacency_matrix())
         assert check_interlacing(s, s)
+        ref = Spectrum(tuple(jacobi_eigenvalues(complete(4).adjacency_matrix())))
+        assert check_interlacing(s, ref) and check_interlacing(ref, s)
 
     def test_random_partitions(self):
         rng = random.Random(35)
@@ -264,9 +297,13 @@ class TestInterlacing:
             n = rng.randint(3, 10)
             g = random_graph(rng, n)
             pt = random_partition(rng, n, rng.randint(1, min(4, n)))
-            qs = quotient_spectrum(quotient_matrix(g, pt))
-            fs = full_spectrum(g.adjacency_matrix())
-            assert check_interlacing(qs, fs)
+            qm = quotient_matrix(g, pt)
+            qs = quotient_spectrum(qm)
+            a = g.adjacency_matrix()
+            assert check_interlacing(qs, full_spectrum(a))
+            # both sides from the reference solver, independent of LAPACK
+            ref_q = Spectrum(tuple(jacobi_eigenvalues(symmetric_form(qm))))
+            assert check_interlacing(ref_q, Spectrum(tuple(jacobi_eigenvalues(a))))
 
     def test_size_mismatch_rejected(self):
         a = full_spectrum(complete(3).adjacency_matrix())

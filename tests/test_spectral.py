@@ -1,7 +1,8 @@
-"""Eigensolvers: power iteration, Jacobi, exact characteristic polynomials.
+"""Spectra: LAPACK eigenpairs, exact characteristic polynomials.
 
-numpy.linalg.eigvalsh serves as the independent oracle for float
-spectra.  Two oracles check the exact characteristic polynomial: a
+The float routes are numpy's LAPACK; a cyclic Jacobi solver in plain
+numpy, kept here, is the independent reference they are checked
+against.  Two oracles check the exact characteristic polynomial: a
 cofactor-expansion determinant over integer polynomials for small
 orders, and the integral Faddeev-LeVerrier recurrence in plain Python
 integers for every order up to 32.
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_connected_graph, random_graph
-from specrad import exactroots
+from specrad import exactroots, spectral
 from specrad.graphs import (
     ExtremalParams,
     Graph,
@@ -123,6 +124,51 @@ def faddeev_leverrier_charpoly(g):
     return tuple(reversed(cs))
 
 
+# -- reference: cyclic Jacobi rotations --------------------------------------
+
+def jacobi_eigenvalues(m, off_factor=1e-12, max_sweeps=64):
+    """All eigenvalues of a symmetric matrix, ascending, by cyclic Jacobi rotations.
+
+    Sweeps until the off-diagonal Frobenius mass drops below
+    off_factor * ||m||_F; no LAPACK call is involved.
+    """
+    a = np.array(m, dtype=float)
+    a = (a + a.T) / 2.0
+    n = a.shape[0]
+    norm = np.linalg.norm(a)
+    if n <= 1 or norm == 0.0:
+        return np.sort(np.diag(a))
+    target = off_factor * norm
+    offdiag = np.ones((n, n)) - np.eye(n)
+    for _ in range(max_sweeps):
+        if float(np.linalg.norm(a * offdiag)) <= target:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                app, aqq = a[p, p], a[q, q]
+                rp = a[p, :].copy()
+                rq = a[q, :].copy()
+                a[p, :] = c * rp - s * rq
+                a[q, :] = s * rp + c * rq
+                cp = a[:, p].copy()
+                cq = a[:, q].copy()
+                a[:, p] = c * cp - s * cq
+                a[:, q] = s * cp + c * cq
+                a[p, p] = app - t * apq
+                a[q, q] = aqq + t * apq
+                a[p, q] = a[q, p] = 0.0
+    else:
+        raise RuntimeError("Jacobi sweeps did not reduce off-diagonal mass")
+    return np.sort(np.diag(a))
+
+
 def _is_prime(n):
     """Deterministic Miller-Rabin; these bases decide every n < 3.3e24."""
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -167,16 +213,14 @@ class TestPerron:
         pp = perron(complete(1))
         assert pp.rho == 0.0 and pp.vec[0] == pytest.approx(1.0)
 
-    def test_iteration_cap_reported(self):
-        # the paw is irregular, so two iterations cannot reach the gate
-        with pytest.raises(RuntimeError, match="residual"):
-            perron(PAW, max_iter=2)
-
-    def test_warm_start_same_answer(self):
-        g = random_connected_graph(random.Random(0), 8)
-        cold = perron(g)
-        warm = perron(g, start=cold.vec)
-        assert warm.rho == pytest.approx(cold.rho, abs=1e-11)
+    def test_gate_checks_every_pair(self, monkeypatch):
+        rho, vec = spectral._top_pair(PAW.adjacency_matrix())
+        monkeypatch.setattr(spectral, "_top_pair", lambda a: (rho + 1e-6, vec))
+        with pytest.raises(AssertionError, match="residual"):
+            perron(PAW)
+        monkeypatch.setattr(spectral, "_top_pair", lambda a: (rho, -vec))
+        with pytest.raises(AssertionError, match="non-positive"):
+            perron(PAW)
 
     def test_positivity_random(self):
         rng = random.Random(1)
@@ -258,32 +302,38 @@ class TestBatch:
 
 
 class TestJacobi:
+    """full_spectrum (LAPACK) against the Jacobi reference and known spectra."""
+
     def test_k3(self):
-        s = full_spectrum(complete(3).adjacency_matrix())
-        assert np.allclose(s.eigs, [-1, -1, 2], atol=1e-10)
+        a = complete(3).adjacency_matrix()
+        assert np.allclose(full_spectrum(a).eigs, [-1, -1, 2], atol=1e-10)
+        assert np.allclose(jacobi_eigenvalues(a), [-1, -1, 2], atol=1e-10)
 
     def test_c5_largest(self):
-        s = full_spectrum(cycle(5).adjacency_matrix())
-        assert s.largest == pytest.approx(2.0, abs=1e-10)
+        a = cycle(5).adjacency_matrix()
+        assert full_spectrum(a).largest == pytest.approx(2.0, abs=1e-10)
+        assert jacobi_eigenvalues(a)[-1] == pytest.approx(2.0, abs=1e-10)
 
     def test_extremal_agrees_with_perron(self):
         g = extremal_graph(ExtremalParams(7, 2, 3))
-        s = full_spectrum(g.adjacency_matrix())
-        assert s.largest == pytest.approx(perron(g).rho, abs=1e-9)
+        a = g.adjacency_matrix()
+        assert jacobi_eigenvalues(a)[-1] == pytest.approx(perron(g).rho, abs=1e-9)
+        assert full_spectrum(a).largest == pytest.approx(perron(g).rho, abs=1e-9)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             full_spectrum(np.array([[0.0, 1.0], [0.5, 0.0]]))
+        with pytest.raises(ValueError, match="square"):
+            full_spectrum(np.zeros((2, 3)))
 
     def test_vs_numpy_oracle(self):
         rng = random.Random(8)
         for _ in range(40):
             n = rng.randint(1, 12)
-            g = random_graph(rng, n)
-            a = g.adjacency_matrix()
+            a = random_graph(rng, n).adjacency_matrix()
             mine = np.array(full_spectrum(a).eigs)
-            ref = np.linalg.eigvalsh(a)
-            assert np.max(np.abs(mine - ref)) <= 1e-9
+            assert np.max(np.abs(mine - jacobi_eigenvalues(a))) <= 1e-9
+            assert np.max(np.abs(mine - np.linalg.eigvalsh(a))) <= 1e-12
 
     def test_general_symmetric(self):
         rng = np.random.default_rng(9)
@@ -291,7 +341,7 @@ class TestJacobi:
             m = rng.normal(size=(n, n))
             m = (m + m.T) / 2
             mine = np.array(full_spectrum(m).eigs)
-            ref = np.linalg.eigvalsh(m)
+            ref = jacobi_eigenvalues(m)
             assert np.max(np.abs(mine - ref)) <= 1e-9 * max(1, np.abs(ref).max())
 
     def test_trace_identities(self):
@@ -299,9 +349,10 @@ class TestJacobi:
         for _ in range(30):
             n = rng.randint(2, 10)
             g = random_graph(rng, n)
-            s = full_spectrum(g.adjacency_matrix())
-            assert abs(sum(s.eigs)) <= 1e-9 * n
-            assert abs(sum(e * e for e in s.eigs) - 2 * g.edge_count) <= 1e-8 * n
+            a = g.adjacency_matrix()
+            for eigs in (full_spectrum(a).eigs, jacobi_eigenvalues(a)):
+                assert abs(sum(eigs)) <= 1e-9 * n
+                assert abs(sum(e * e for e in eigs) - 2 * g.edge_count) <= 1e-8 * n
 
 
 class TestIntCharpoly:
@@ -333,7 +384,7 @@ class TestIntCharpoly:
         for _ in range(20):
             g = random_graph(rng, rng.randint(2, 8))
             cp = int_charpoly(g)
-            for lam in full_spectrum(g.adjacency_matrix()).eigs:
+            for lam in jacobi_eigenvalues(g.adjacency_matrix()):
                 assert abs(cp.evaluate(lam)) <= 1e-6
 
     def test_order_cap(self):
