@@ -51,6 +51,8 @@ class CutWitness:
             raise AssertionError("witness components do not partition V minus cut")
         if len(self.side_components) < 2:
             raise AssertionError("witness must leave at least two components")
+        if not all(self.side_components):
+            raise AssertionError("witness component is empty")
         for u in rest:
             for v in g.neighbors(u):
                 if v in assign and assign[v] != assign[u]:
@@ -122,15 +124,6 @@ def _split_maxflow(g, s, t, cap_limit=None):
         flow += 1
 
 
-def _min_cut_vertices(g, s, t):
-    """A minimum vertex cut separating non-adjacent s and t."""
-    flow, reach = _split_maxflow(g, s, t)
-    cut = frozenset(v for v in range(g.n)
-                    if (reach >> (2 * v)) & 1 and not (reach >> (2 * v + 1)) & 1)
-    assert len(cut) == flow, "residual cut size must equal the max flow"
-    return cut
-
-
 def _pair_family(g):
     """Even-Tarjan candidate pairs covering some minimum cut."""
     u = min(range(g.n), key=lambda v: g.rows[v].bit_count())
@@ -156,14 +149,19 @@ def vertex_connectivity(g):
     if not is_connected(g):
         return 0, CutWitness(frozenset(), tuple(components(g)))
     best = n - 1
-    best_pair = None
+    best_reach = None
     for s, t in _pair_family(g):
-        flow, _ = _split_maxflow(g, s, t, cap_limit=best)
+        # a run that returns flow < best ran to completion, so its
+        # residual reachability gives a minimum s-t cut
+        flow, reach = _split_maxflow(g, s, t, cap_limit=best)
         if flow < best:
             best = flow
-            best_pair = (s, t)
-    assert best_pair is not None, "non-complete connected graph must have a cut pair"
-    cut = _min_cut_vertices(g, *best_pair)
+            best_reach = reach
+    assert best_reach is not None, "non-complete connected graph must have a cut pair"
+    # v is cut when the residual network reaches v_in but not v_out
+    cut = frozenset(v for v in range(n)
+                    if (best_reach >> (2 * v)) & 1 and not (best_reach >> (2 * v + 1)) & 1)
+    assert len(cut) == best, "residual cut size must equal the max flow"
     rest = [v for v in range(n) if v not in cut]
     sub = induced_subgraph(g, rest)
     comps = tuple(frozenset(rest[i] for i in comp) for comp in components(sub))

@@ -1,8 +1,10 @@
 """Exact real-root tools for integer polynomials.
 
-Polynomials are tuples of Python ints in ascending power order.  All
-sign decisions are exact: evaluation at a rational num/den reduces to an
-integer sign.  The largest real root is located in one of two ways.
+Polynomials are tuples of Python ints in ascending power order, and all
+arithmetic stays in the integers: evaluation at a rational num/den
+reduces to an integer sign, and gcds, square-free parts and Sturm chains
+come from one primitive pseudo-remainder (the primitive PRS of Collins
+and Brown-Traub).  The largest real root is bracketed in one of two ways.
 
 * Seeded certificate.  Given a float estimate (a caller's eigenvalue,
   or numpy's polynomial roots in :func:`largest_real_root`), dyadic
@@ -17,13 +19,13 @@ integer sign.  The largest real root is located in one of two ways.
   bracket around a good seed always certifies.
 * Sturm fallback.  Without a seed, or when no bracket certifies, the
   square-free part's Sturm chain counts roots while the Cauchy interval
-  is bisected.
+  is bisected, until one root is left in (lo, hi].
 
-Either way the result is an interval holding exactly one root, simple
-in the polynomial carried with it, with no root above; from there all
-refinement is plain sign bisection.  Floats only seed brackets and
-polish final values, so comparisons of largest roots (spectral radii of
-integer matrices) never hinge on rounding.
+Sturm isolates; sign bisection refines.  Either bracket holds exactly
+one root, simple in the polynomial carried with it, with no root above,
+and from there all refinement is plain sign bisection.  Floats only
+seed brackets and polish final values, so comparisons of largest roots
+(spectral radii of integer matrices) never hinge on rounding.
 """
 
 from __future__ import annotations
@@ -124,16 +126,6 @@ def shift_variations(p, r):
     return _variations((c > 0) - (c < 0) for c in q)
 
 
-def _sign_at_inf(p, positive):
-    p = normalize(p)
-    if not p:
-        return 0
-    lead = p[-1]
-    if positive or (len(p) - 1) % 2 == 0:
-        return (lead > 0) - (lead < 0)
-    return (lead < 0) - (lead > 0)
-
-
 def cauchy_bound(p):
     """Integer B with every real root of p in (-B, B)."""
     p = normalize(p)
@@ -144,76 +136,65 @@ def cauchy_bound(p):
     return 1 + (top + lead - 1) // lead
 
 
-def _frac_rem(a, b):
-    """Remainder of a / b over the rationals (ascending Fraction tuples)."""
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and any(a):
-        da = len(a) - 1
-        if a[-1] == 0:
-            a.pop()
-            continue
-        q = a[-1] / lb
-        shift = da - db
-        for i in range(db + 1):
-            a[shift + i] -= q * b[i]
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+def _prem(a, b):
+    """Primitive pseudo-remainder of a by a nonzero b.
 
-
-def _clear_denominators(fracs):
-    """Scale a Fraction poly by a positive constant into a primitive int poly."""
-    if not fracs:
-        return ()
-    den = 1
-    for c in fracs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    return _primitive(int(c * den) for c in fracs)
+    A positive multiple of the remainder of a / b over the rationals:
+    b is negated when its leading coefficient is negative, so every
+    elimination step scales a by a positive integer and the content
+    divided out at the end is positive too.  Sturm signs survive.
+    """
+    if b[-1] < 0:
+        b = tuple(-c for c in b)
+    lb, db = b[-1], len(b) - 1
+    a = list(normalize(a))
+    while len(a) > db:
+        lead, shift = a[-1], len(a) - 1 - db
+        a = [lb * c for c in a]
+        for i, c in enumerate(b):
+            a[shift + i] -= lead * c
+        a = list(normalize(a))
+    return _primitive(a)
 
 
 def poly_gcd(p, q):
     """Greatest common divisor as a primitive integer polynomial."""
-    a = [Fraction(c) for c in normalize(p)]
-    b = [Fraction(c) for c in normalize(q)]
+    a, b = normalize(p), normalize(q)
     while b:
-        a, b = b, _frac_rem(a, b)
-    return _clear_denominators(a)
+        a, b = b, _prem(a, b)
+    return _primitive(a)
 
 
 def square_free_part(p):
-    """p with repeated factors collapsed: p / gcd(p, p')."""
+    """p with repeated factors collapsed: p / gcd(p, p'), made primitive.
+
+    The gcd is primitive, so by Gauss's lemma the quotient has integer
+    coefficients and the long division is exact in the integers.
+    """
     p = normalize(p)
     if len(p) <= 2:
         return _primitive(p)
     g = poly_gcd(p, derivative(p))
     if len(g) <= 1:
         return _primitive(p)
-    # exact division p // g over the rationals
-    a = [Fraction(c) for c in p]
-    b = [Fraction(c) for c in g]
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
+    a = list(p)
+    out = [0] * (len(a) - len(g) + 1)
     for sh in range(len(out) - 1, -1, -1):
-        q = a[sh + len(b) - 1] / b[-1]
-        out[sh] = q
-        for i in range(len(b)):
-            a[sh + i] -= q * b[i]
-    return _clear_denominators(out)
+        out[sh] = a[sh + len(g) - 1] // g[-1]
+        for i, c in enumerate(g):
+            a[sh + i] -= out[sh] * c
+    assert not any(a), "p must be divisible by gcd(p, p')"
+    return _primitive(out)
 
 
 def sturm_chain(p):
     """Sturm chain of a square-free integer polynomial."""
-    chain = [tuple(normalize(p))]
+    chain = [normalize(p)]
     d = derivative(chain[0])
     if d:
-        chain.append(tuple(d))
-        while True:
-            rem = _frac_rem(chain[-2], chain[-1])
-            if not rem:
-                break
-            chain.append(tuple(-c for c in _clear_denominators(rem)))
+        chain.append(d)
+        while rem := _prem(chain[-2], chain[-1]):
+            chain.append(tuple(-c for c in rem))
     return chain
 
 
@@ -229,23 +210,16 @@ def _variations(signs):
     return var
 
 
-def _var_at(chain, x):
-    return _variations([sign_at(f, x) for f in chain])
-
-
-def _var_at_inf(chain, positive):
-    return _variations([_sign_at_inf(f, positive) for f in chain])
-
-
 def count_roots_in(chain, lo, hi):
     """Distinct real roots of the chain's polynomial in (lo, hi].
 
-    Endpoints may be rationals or the strings '-inf' / '+inf'.  The
-    chain's polynomial must be square-free.
+    Endpoints are rationals; every real root lies in +-cauchy_bound.
+    The chain's polynomial must be square-free.
     """
-    vlo = _var_at_inf(chain, False) if lo == "-inf" else _var_at(chain, lo)
-    vhi = _var_at_inf(chain, True) if hi == "+inf" else _var_at(chain, hi)
-    return vlo - vhi
+    def var(x):
+        return _variations(sign_at(f, x) for f in chain)
+
+    return var(lo) - var(hi)
 
 
 def _versus_root(loc, x):
@@ -281,7 +255,7 @@ def _refine(loc, width):
 
 
 def _seeded_bracket(p, seed):
-    """Certified (lo, hi] around a float seed, or None.
+    """Certified (lo, hi, p) around a float seed, or None.
 
     With base the grid point at or below the seed, hi is the first
     base + h (h in SEED_REACH) with V(hi) = 0, so no root lies above it,
@@ -304,10 +278,34 @@ def _seeded_bracket(p, seed):
         lo = Fraction(base - h, scale)
         v = shift_variations(p, lo)
         if v == 1:
-            return lo, hi
+            return lo, hi, p
         if v > 1:
             return None
     return None
+
+
+def _sturm_bracket(p):
+    """(lo, hi, f) with f the square-free part of p and its largest root
+    the only root of f in (lo, hi], none above hi.
+
+    The Cauchy interval is bisected on Sturm counts only while more than
+    one root of f is left in (lo, hi].
+    """
+    sf = square_free_part(p)
+    chain = sturm_chain(sf)
+    bound = cauchy_bound(sf)
+    lo, hi = Fraction(-bound), Fraction(bound)
+    count = count_roots_in(chain, lo, hi)
+    if count < 1:
+        raise ValueError("polynomial has no real root")
+    while count > 1:
+        mid = (lo + hi) / 2
+        above = count_roots_in(chain, mid, hi)
+        if above:
+            lo, count = mid, above
+        else:
+            hi = mid
+    return lo, hi, sf
 
 
 def isolate_largest_root(p, width=Fraction(1, 1 << 30), seed=None):
@@ -318,37 +316,15 @@ def isolate_largest_root(p, width=Fraction(1, 1 << 30), seed=None):
     square-free part, and its only root above lo is a simple root in
     (lo, hi), the largest real root of p.  A float `seed` near that root
     is tried first through a Descartes certificate; without one, or if
-    certification fails, Sturm bisection of the Cauchy interval runs.
-    Raises ValueError when p has no real root.
+    certification fails, Sturm bisection of the Cauchy interval isolates
+    it.  Raises ValueError when p has no real root.
     """
     p = normalize(p)
     bracket = None if seed is None else _seeded_bracket(p, seed)
-    if bracket is not None:
-        lo, hi = bracket
-        if sign_at(p, hi) == 0:
-            return ("exact", hi)
-        return _refine(("interval", lo, hi, p), width)
-    sf = square_free_part(p)
-    chain = sturm_chain(sf)
-    bound = cauchy_bound(sf)
-    lo, hi = Fraction(-bound), Fraction(bound)
-    total = count_roots_in(chain, lo, hi)
-    if total < 1:
-        raise ValueError("polynomial has no real root")
-    # invariant: largest root in (lo, hi], no roots in (hi, +inf)
-    while count_roots_in(chain, lo, hi) > 1 or hi - lo > width:
-        mid = (lo + hi) / 2
-        if sign_at(sf, mid) == 0:
-            # rational root hit exactly; largest iff nothing above it
-            if count_roots_in(chain, mid, hi) == 0:
-                return ("exact", mid)
-            lo = mid
-            continue
-        if count_roots_in(chain, mid, hi) >= 1:
-            lo = mid
-        else:
-            hi = mid
-    return ("interval", lo, hi, sf)
+    lo, hi, f = bracket or _sturm_bracket(p)
+    if sign_at(f, hi) == 0:
+        return ("exact", hi)
+    return _refine(("interval", lo, hi, f), width)
 
 
 def largest_real_root(p, abs_tol=1e-12):

@@ -29,7 +29,6 @@ __all__ = [
     "extremal_graph",
     "shiu_graph",
     "min_degree",
-    "max_degree",
     "is_connected",
     "components",
     "induced_subgraph",
@@ -290,10 +289,6 @@ def shiu_graph(n, k):
 def min_degree(g):
     """Smallest vertex degree."""
     return min(r.bit_count() for r in g.rows)
-
-
-def max_degree(g):
-    return max(r.bit_count() for r in g.rows)
 
 
 def _component_mask(rows, avail, start_bit):

@@ -48,15 +48,6 @@ class Partition:
     def sizes(self):
         return tuple(len(b) for b in self.blocks)
 
-    def block_of(self):
-        """Vertex -> block index lookup table."""
-        n = sum(self.sizes)
-        idx = [None] * n
-        for bi, block in enumerate(self.blocks):
-            for v in block:
-                idx[v] = bi
-        return idx
-
     def validate(self, n):
         seen = set()
         for b in self.blocks:

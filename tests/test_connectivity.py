@@ -3,6 +3,7 @@
 import random
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
 from conftest import random_connected_graph, random_graph
@@ -18,6 +19,7 @@ from specrad.graphs import (
     path,
 )
 from specrad.connectivity import (
+    CutWitness,
     connectivity_at_most,
     is_k_connected,
     lemma_guarantee,
@@ -95,11 +97,34 @@ class TestVertexConnectivity:
                         rest = [v for v in range(g.n) if v not in sub]
                         assert is_connected(induced_subgraph(g, rest))
 
+    def test_vs_networkx_atlas(self):
+        # every connected graph of the atlas: all 996 on 1-7 vertices
+        checked = 0
+        for h in nx.graph_atlas_g():
+            if h.number_of_nodes() == 0 or not nx.is_connected(h):
+                continue
+            g = from_edges(h.number_of_nodes(), list(h.edges()))
+            k, w = vertex_connectivity(g)
+            assert k == nx.node_connectivity(h)
+            if w is not None:
+                assert len(w.cut) == k
+                w.check(g)
+            checked += 1
+        assert checked == 996
+
     def test_whitney_bound(self):
         rng = random.Random(22)
         for _ in range(60):
             g = random_graph(rng, rng.randint(2, 8))
             assert vertex_connectivity(g)[0] <= min_degree(g)
+
+
+class TestCutWitness:
+    @pytest.mark.parametrize("cut", [frozenset(), frozenset({0})])
+    def test_rejects_empty_component(self, cut):
+        sides = (frozenset(range(4)) - cut, frozenset())
+        with pytest.raises(AssertionError, match="empty"):
+            CutWitness(cut, sides).check(complete(4))
 
 
 class TestSubsetRoute:

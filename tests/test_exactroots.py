@@ -2,9 +2,10 @@
 isolation, comparison.
 
 Oracle values come from hand factorizations; counts are cross-checked
-against numpy roots on random integer polynomials.  Seeded comparisons,
-and the self-seeded largest_real_root, must agree with the unseeded
-Sturm path, and wrong seeds must reach it.
+against numpy roots on random integer polynomials, and gcds, square-free
+parts, Sturm counts and unseeded isolation against sympy.  Seeded
+comparisons, and the self-seeded largest_real_root, must agree with the
+unseeded Sturm path, and wrong seeds must reach it.
 """
 
 import random
@@ -12,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -65,8 +67,9 @@ def test_sturm_counts_known_cubic():
     assert count_roots_in(ch, -1, 3) == 3
     assert count_roots_in(ch, 0, 2) == 2          # (0, 2] excludes the root at 0
     assert count_roots_in(ch, -1, 0) == 1         # (-1, 0] includes it
-    assert count_roots_in(ch, Fraction(1, 2), "+inf") == 2
-    assert count_roots_in(ch, "-inf", "+inf") == 3
+    b = cauchy_bound(p)                           # every real root in (-b, b)
+    assert count_roots_in(ch, Fraction(1, 2), b) == 2
+    assert count_roots_in(ch, -b, b) == 3
 
 
 def test_sturm_counts_random_vs_numpy():
@@ -78,7 +81,8 @@ def test_sturm_counts_random_vs_numpy():
         p = tuple(rng.randint(-6, 6) for _ in range(deg)) + (rng.randint(1, 5),)
         sf = square_free_part(p)
         ch = sturm_chain(sf)
-        got = count_roots_in(ch, "-inf", "+inf")
+        b = cauchy_bound(sf)
+        got = count_roots_in(ch, -b, b)
         roots = np.roots(list(reversed(p)))
         real = sorted(r.real for r in roots if abs(r.imag) < 1e-4)
         distinct = 0
@@ -222,6 +226,68 @@ def test_self_seeded_root_agrees_with_unseeded(p, abs_tol):
     loc = _refine(isolate_largest_root(p), Fraction(abs_tol) / 4)
     want = float(loc[1]) if loc[0] == "exact" else float((loc[1] + loc[2]) / 2)
     assert abs(largest_real_root(p, abs_tol) - want) <= abs_tol
+
+
+@st.composite
+def factored(draw):
+    """Products of integer factors of degree 1-2, each raised to a power
+    up to 3, times a constant of either sign: repeated factors, complex
+    pairs and negative leading coefficients all occur."""
+    factors = draw(st.lists(st.tuples(st.lists(st.integers(-5, 5), min_size=1, max_size=2),
+                                      st.integers(-3, 3).filter(bool), st.integers(1, 3)),
+                            min_size=1, max_size=3))
+    p = (draw(st.sampled_from([-2, -1, 1, 3])),)
+    for low, lead, power in factors:
+        for _ in range(power):
+            p = _poly_mul(p, tuple(low) + (lead,))
+    return p
+
+
+def _sympy_poly(p):
+    return sympy.Poly(p[::-1], sympy.Symbol("x"), domain="ZZ")
+
+
+def _rational(x):
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+class TestAgainstSympy:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(factored(), factored(), factored())
+    def test_poly_gcd(self, common, a, b):
+        p, q = _poly_mul(common, a), _poly_mul(common, b)
+        want = sympy.gcd(_sympy_poly(p), _sympy_poly(q)).primitive()[1]
+        assert _sympy_poly(poly_gcd(p, q)) in (want, -want)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(factored())
+    def test_square_free_part(self, p):
+        want = sympy.sqf_part(_sympy_poly(p))
+        assert _sympy_poly(square_free_part(p)) in (want, -want)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(factored())
+    def test_sturm_counts(self, p):
+        sf = square_free_part(p)
+        b = cauchy_bound(sf)
+        assert count_roots_in(sturm_chain(sf), -b, b) == _sympy_poly(p).count_roots()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(factored())
+    def test_unseeded_isolation(self, p):
+        roots = _sympy_poly(p).real_roots()
+        if not roots:
+            with pytest.raises(ValueError):
+                isolate_largest_root(p)
+            return
+        top = max(roots)
+        loc = isolate_largest_root(p)
+        if loc[0] == "exact":
+            assert _rational(loc[1]) == top
+        else:
+            _, lo, hi, f = loc
+            assert _rational(lo) < top < _rational(hi) and hi - lo <= Fraction(1, 1 << 30)
+            assert sign_at(f, lo) * sign_at(f, hi) < 0
 
 
 class TestCompare:
