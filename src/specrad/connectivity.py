@@ -2,10 +2,13 @@
 
 kappa(G) is computed by unit-capacity max-flow on the vertex-split
 digraph (each vertex becomes an in/out pair joined by a capacity-1 arc),
-minimized over an Even-Tarjan pair family: a minimum-degree vertex
-against all its non-neighbours, then all non-adjacent pairs of its
-neighbours.  Removal witnesses are recovered from the final residual
-reachability.
+minimized over an Even-Tarjan pair family (Even & Tarjan, SIAM J.
+Comput. 4, 1975): a minimum-degree vertex against all its
+non-neighbours, then all non-adjacent pairs of its neighbours.  The
+digraph is never built: the neighbour lists are made once per graph, and
+a flow is one list ``pred`` (the vertex feeding each vertex's unit, or
+-1), from which the residual network follows.  Removal witnesses are
+recovered from the final residual reachability.
 
 For the census inner loop, :func:`connectivity_at_most` decides
 kappa(G) <= k directly by exhausting vertex subsets of size <= k with
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import _component_mask, components, induced_subgraph, is_connected
+from .graphs import _component_mask, _components_within, components, is_connected
 
 __all__ = [
     "CutWitness",
@@ -60,79 +63,71 @@ class CutWitness:
         return self
 
 
-def _split_maxflow(g, s, t, cap_limit=None):
+def _split_maxflow(nbrs, s, t, cap_limit=None):
     """Max vertex-disjoint s-t paths for non-adjacent s, t.
 
-    Unit-capacity BFS augmentation on the split digraph; stops early
-    once the flow exceeds cap_limit when one is given.  Returns
-    (flow, reachable_mask) where reachable_mask covers split nodes
-    reachable from the source in the final residual network.
+    ``nbrs[v]`` lists the neighbours of v.  BFS augmentation on the
+    split digraph (``2v`` = v_in, ``2v+1`` = v_out); stops early once
+    the flow exceeds cap_limit when one is given.  The flow is the list
+    ``pred``: ``pred[w]`` is the vertex whose out-arc carries the unit
+    into w_in, or -1, and the residual network follows from it.  v_out
+    reaches every w_in, and v_in when v carries flow; v_in reaches v_out
+    when v is free, else ``pred[v]``_out (the cancel arc).  Returns
+    (flow, parent): on a completed run ``parent[x] >= 0`` exactly for
+    the split nodes x reachable from s_out in the final residual
+    network; a capped run returns parent None.
     """
-    n = g.n
-    # split node ids: 2v = v_in, 2v+1 = v_out; arcs as residual capacity dict
-    inf = n + 1
-    cap = {}
-
-    def add(u, v, c):
-        cap[(u, v)] = cap.get((u, v), 0) + c
-        cap.setdefault((v, u), 0)
-
-    adj = [[] for _ in range(2 * n)]
-
-    def arc(u, v, c):
-        if (u, v) not in cap:
-            adj[u].append(v)
-            adj[v].append(u)
-        add(u, v, c)
-
-    for v in range(n):
-        arc(2 * v, 2 * v + 1, 1)
-    for u in range(n):
-        m = g.rows[u]
-        while m:
-            b = m & -m
-            w = b.bit_length() - 1
-            m ^= b
-            arc(2 * u + 1, 2 * w, inf)
+    pred = [-1] * len(nbrs)
     source, sink = 2 * s + 1, 2 * t
     flow = 0
     while True:
         if cap_limit is not None and flow > cap_limit:
-            return flow, 0
-        # BFS for an augmenting path
-        parent = {source: None}
+            return flow, None
+        parent = [-1] * (2 * len(nbrs))
+        parent[source] = source
         queue = [source]
-        qi = 0
-        while qi < len(queue) and sink not in parent:
-            u = queue[qi]
-            qi += 1
-            for v in adj[u]:
-                if v not in parent and cap[(u, v)] > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if sink not in parent:
-            reach = 0
-            for u in parent:
-                reach |= 1 << u
-            return flow, reach
-        v = sink
-        while parent[v] is not None:
-            u = parent[v]
-            cap[(u, v)] -= 1
-            cap[(v, u)] += 1
-            v = u
+        for x in queue:
+            v = x >> 1
+            if x & 1:
+                if pred[v] >= 0 and parent[x - 1] < 0:
+                    parent[x - 1] = x
+                    queue.append(x - 1)
+                for w in nbrs[v]:
+                    if parent[2 * w] < 0:
+                        parent[2 * w] = x
+                        queue.append(2 * w)
+                if parent[sink] >= 0:
+                    break
+            else:
+                y = x + 1 if pred[v] < 0 else 2 * pred[v] + 1
+                if parent[y] < 0:
+                    parent[y] = x
+                    queue.append(y)
+        else:
+            return flow, parent
+        # walk back from the sink: a forward edge arc u_out -> w_in sets
+        # pred[w]; a cancel arc w_in -> pred[w]_out clears it first.
+        # pred[t] is written but never read: the sink is never expanded.
+        y = sink
+        while y != source:
+            x = parent[y]
+            if x >> 1 != y >> 1:
+                if x & 1:
+                    pred[y >> 1] = x >> 1
+                else:
+                    pred[x >> 1] = -1
+            y = x
         flow += 1
 
 
-def _pair_family(g):
+def _pair_family(rows, nbrs):
     """Even-Tarjan candidate pairs covering some minimum cut."""
-    u = min(range(g.n), key=lambda v: g.rows[v].bit_count())
-    nbrs = g.neighbors(u)
-    for w in range(g.n):
-        if w != u and not g.has_edge(u, w):
+    u = min(range(len(rows)), key=lambda v: rows[v].bit_count())
+    for w in range(len(rows)):
+        if w != u and not rows[u] >> w & 1:
             yield (u, w)
-    for x, y in combinations(nbrs, 2):
-        if not g.has_edge(x, y):
+    for x, y in combinations(nbrs[u], 2):
+        if not rows[x] >> y & 1:
             yield (x, y)
 
 
@@ -148,24 +143,23 @@ def vertex_connectivity(g):
         return n - 1, None
     if not is_connected(g):
         return 0, CutWitness(frozenset(), tuple(components(g)))
+    nbrs = [g.neighbors(v) for v in range(n)]
     best = n - 1
     best_reach = None
-    for s, t in _pair_family(g):
+    for s, t in _pair_family(g.rows, nbrs):
         # a run that returns flow < best ran to completion, so its
         # residual reachability gives a minimum s-t cut
-        flow, reach = _split_maxflow(g, s, t, cap_limit=best)
+        flow, reach = _split_maxflow(nbrs, s, t, cap_limit=best)
         if flow < best:
             best = flow
             best_reach = reach
     assert best_reach is not None, "non-complete connected graph must have a cut pair"
     # v is cut when the residual network reaches v_in but not v_out
     cut = frozenset(v for v in range(n)
-                    if (best_reach >> (2 * v)) & 1 and not (best_reach >> (2 * v + 1)) & 1)
+                    if best_reach[2 * v] >= 0 and best_reach[2 * v + 1] < 0)
     assert len(cut) == best, "residual cut size must equal the max flow"
-    rest = [v for v in range(n) if v not in cut]
-    sub = induced_subgraph(g, rest)
-    comps = tuple(frozenset(rest[i] for i in comp) for comp in components(sub))
-    return best, CutWitness(cut, comps)
+    rest = ((1 << n) - 1) & ~sum(1 << v for v in cut)
+    return best, CutWitness(cut, tuple(_components_within(g.rows, rest)))
 
 
 def connectivity_at_most(g, k):

@@ -315,12 +315,14 @@ def is_connected(g):
 
 def components(g):
     """Vertex sets of the connected components, ordered by smallest vertex."""
-    full = (1 << g.n) - 1
-    remaining = full
+    return _components_within(g.rows, (1 << g.n) - 1)
+
+
+def _components_within(rows, remaining):
+    """Components of the subgraph induced by the vertex mask `remaining`."""
     out = []
     while remaining:
-        start = remaining & -remaining
-        comp = _component_mask(g.rows, remaining, start)
+        comp = _component_mask(rows, remaining, remaining & -remaining)
         out.append(frozenset(_mask_vertices(comp)))
         remaining &= ~comp
     return out

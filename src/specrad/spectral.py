@@ -48,12 +48,16 @@ class PerronPair:
     rho: float
     vec: np.ndarray
 
+    def residual(self, adjacency):
+        """max |A v - rho v|, the eigenpair residual :meth:`check` gates."""
+        return float(np.max(np.abs(adjacency @ self.vec - self.rho * self.vec)))
+
     def check(self, adjacency):
         """Assert the defining invariants against the adjacency matrix."""
         v = self.vec
         if abs(np.linalg.norm(v) - 1.0) > 1e-12:
             raise AssertionError("Perron vector is not unit length")
-        res = np.max(np.abs(adjacency @ v - self.rho * v))
+        res = self.residual(adjacency)
         if res > RESIDUAL_FACTOR * max(1.0, self.rho):
             raise AssertionError(f"Perron residual {res:.3e} too large")
         if np.min(v) <= 0:

@@ -5,21 +5,25 @@ from itertools import combinations
 
 import networkx as nx
 import pytest
+from networkx.algorithms.connectivity import local_node_connectivity
 
 from conftest import random_connected_graph, random_graph
 from specrad.graphs import (
     ExtremalParams,
+    _component_mask,
     complete,
     cycle,
     disjoint_union,
     extremal_graph,
     from_edges,
+    induced_subgraph,
     is_connected,
     min_degree,
     path,
 )
 from specrad.connectivity import (
     CutWitness,
+    _split_maxflow,
     connectivity_at_most,
     is_k_connected,
     lemma_guarantee,
@@ -112,6 +116,19 @@ class TestVertexConnectivity:
             checked += 1
         assert checked == 996
 
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
+    def test_vs_networkx_family_sizes(self, p):
+        # the orders of the family workload, past the brute-force reach
+        rng = random.Random(int(p * 10))
+        for n in range(9, 17):
+            for _ in range(10):
+                g = random_graph(rng, n, p)
+                k, w = vertex_connectivity(g)
+                assert k == nx.node_connectivity(to_networkx(g))
+                if w is not None:
+                    assert len(w.cut) == k
+                    w.check(g)
+
     def test_whitney_bound(self):
         rng = random.Random(22)
         for _ in range(60):
@@ -177,7 +194,7 @@ class TestMengerConsistency:
             if not pairs:
                 continue
             u, v = pairs[rng.randrange(len(pairs))]
-            flow, _ = _split_maxflow(g, u, v)
+            flow, _ = _split_maxflow(neighbour_lists(g), u, v)
             best = None
             others = [w for w in range(g.n) if w not in (u, v)]
             for size in range(len(others) + 1):
@@ -195,6 +212,95 @@ class TestMengerConsistency:
                     break
             assert flow == best
             checked += 1
+
+
+def to_networkx(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from((u, v) for u in range(g.n) for v in g.neighbors(u) if u < v)
+    return h
+
+
+def neighbour_lists(g):
+    return [g.neighbors(v) for v in range(g.n)]
+
+
+def residual_cut(parent):
+    """Vertices whose split in-node is reached and out-node is not."""
+    return {v for v in range(len(parent) // 2) if parent[2 * v] >= 0 > parent[2 * v + 1]}
+
+
+def chain(*vs):
+    return list(zip(vs, vs[1:]))
+
+
+class TestSplitMaxflow:
+    # s = 0, t = 4.  In each graph the unique shortest s-t path, which BFS
+    # augments first, blocks a second disjoint path, so a later unit must
+    # cancel flow on it.
+    REROUTES = {
+        # chord 1-7 on s-1-2-3-t and s-5-6-7-t: the second unit cancels 1 -> 7
+        "arc": (chain(0, 1, 2, 3, 4) + chain(0, 5, 6, 7, 4) + [(1, 7)], 2, {1, 5}),
+        # s-1-2-3-t, entered at 3 and left at 1: the second unit runs back
+        # through all of vertex 2 (the reverse split arc) and frees it
+        "vertex": (chain(0, 1, 2, 3, 4) + chain(0, 5, 6, 7, 3) + chain(1, 8, 9, 10, 4),
+                   2, {1, 5}),
+        # as "vertex", and the third unit needs vertex 2 once it is free
+        "freed": (chain(0, 1, 2, 3, 4) + chain(0, 5, 6, 7, 3) + chain(1, 8, 9, 10, 4)
+                  + chain(0, 11, 12, 13, 14, 15, 2) + chain(2, 16, 17, 18, 19, 20, 4),
+                  3, {1, 5, 11}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(REROUTES))
+    def test_later_unit_cancels_earlier_flow(self, name):
+        edges, want, want_cut = self.REROUTES[name]
+        h = nx.Graph(edges)
+        assert len(list(nx.all_shortest_paths(h, 0, 4))) == 1
+        assert local_node_connectivity(h, 0, 4) == want
+        g = from_edges(h.number_of_nodes(), edges)
+        flow, parent = _split_maxflow(neighbour_lists(g), 0, 4)
+        assert flow == want
+        assert residual_cut(parent) == want_cut
+
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
+    def test_vs_networkx_local_connectivity(self, p):
+        rng = random.Random(100 + int(p * 10))
+        checked = 0
+        while checked < 60:
+            g = random_graph(rng, rng.randint(9, 16), p)
+            pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                     if not g.has_edge(u, v)]
+            if not pairs:
+                continue
+            s, t = pairs[rng.randrange(len(pairs))]
+            flow, parent = _split_maxflow(neighbour_lists(g), s, t)
+            assert flow == local_node_connectivity(to_networkx(g), s, t)
+            cut = residual_cut(parent)
+            assert len(cut) == flow and not cut & {s, t}
+            rest = [v for v in range(g.n) if v not in cut]
+            sub = induced_subgraph(g, rest)
+            reach = _component_mask(sub.rows, (1 << sub.n) - 1, 1 << rest.index(s))
+            assert not reach >> rest.index(t) & 1
+            checked += 1
+
+    def test_cap_limit_exits_early(self):
+        rng = random.Random(26)
+        for _ in range(40):
+            g = random_connected_graph(rng, rng.randint(4, 14), rng.choice([0.3, 0.5, 0.7]))
+            pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                     if not g.has_edge(u, v)]
+            if not pairs:
+                continue
+            s, t = pairs[rng.randrange(len(pairs))]
+            nbrs = neighbour_lists(g)
+            true = local_node_connectivity(to_networkx(g), s, t)
+            uncapped_cut = residual_cut(_split_maxflow(nbrs, s, t)[1])
+            for c in range(true + 2):
+                flow, parent = _split_maxflow(nbrs, s, t, cap_limit=c)
+                if true > c:
+                    assert flow == c + 1 and parent is None
+                else:
+                    assert flow == true and residual_cut(parent) == uncapped_cut
 
 
 class TestLemmaGuarantee:

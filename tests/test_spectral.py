@@ -222,6 +222,24 @@ class TestPerron:
         with pytest.raises(AssertionError, match="non-positive"):
             perron(PAW)
 
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    def test_residual_on_complete(self, n):
+        a = complete(n).adjacency_matrix()
+        pp = perron(complete(n))
+        assert pp.residual(a) <= spectral.RESIDUAL_FACTOR * max(1.0, pp.rho)
+        exact = spectral.PerronPair(float(n - 1), np.ones(n) / math.sqrt(n))
+        assert exact.residual(a) <= 1e-12
+        # (A - (n-1)I)(1 + d e_0) = d (1 - n e_0), so the largest entry
+        # of the normalized vector's residual is (n-1) d / |1 + d e_0|
+        d = 1e-3
+        w = np.ones(n)
+        w[0] += d
+        off = spectral.PerronPair(float(n - 1), w / np.linalg.norm(w))
+        want = (n - 1) * d / math.sqrt(n - 1 + (1 + d) ** 2)
+        assert off.residual(a) == pytest.approx(want, rel=1e-9)
+        with pytest.raises(AssertionError, match=f"residual {want:.3e}"):
+            off.check(a)
+
     def test_positivity_random(self):
         rng = random.Random(1)
         for _ in range(50):
