@@ -10,10 +10,11 @@ a flow is one list ``pred`` (the vertex feeding each vertex's unit, or
 -1), from which the residual network follows.  Removal witnesses are
 recovered from the final residual reachability.
 
-For the census inner loop, :func:`connectivity_at_most` decides
-kappa(G) <= k directly by exhausting vertex subsets of size <= k with
-the bitset BFS of :mod:`specrad.graphs`; it is equivalent to the
-max-flow route (tested) and much faster at desk scale.
+:func:`connectivity_at_most` decides kappa(G) <= k by exhausting vertex
+subsets of size <= k with the bitset BFS of :mod:`specrad.graphs`; it
+is equivalent to the max-flow route (tested).  Its cost is exponential
+in k: on the benchmark's census graphs it beats the max-flow route only
+at n <= 7.
 """
 
 from __future__ import annotations
@@ -165,8 +166,8 @@ def vertex_connectivity(g):
 def connectivity_at_most(g, k):
     """Decide kappa(G) <= k by exhausting candidate cuts of size <= k.
 
-    Equivalent to vertex_connectivity(g)[0] <= k; used where the flow
-    machinery would dominate the running time (census inner loop).
+    Equivalent to vertex_connectivity(g)[0] <= k, and cheaper than it
+    only for small n and k (see the module docstring).
     """
     if k < 0:
         return False  # kappa >= 0 > k

@@ -308,11 +308,11 @@ def _sturm_bracket(p):
     return lo, hi, sf
 
 
-def isolate_largest_root(p, width=Fraction(1, 1 << 30), seed=None):
+def isolate_largest_root(p, seed=None):
     """Isolating interval for the largest real root of p.
 
     Returns ('exact', r) when the largest root is found to be rational,
-    else ('interval', lo, hi, f) with hi - lo <= width: f is p or its
+    else ('interval', lo, hi, f) with hi - lo <= 2^-30: f is p or its
     square-free part, and its only root above lo is a simple root in
     (lo, hi), the largest real root of p.  A float `seed` near that root
     is tried first through a Descartes certificate; without one, or if
@@ -324,7 +324,7 @@ def isolate_largest_root(p, width=Fraction(1, 1 << 30), seed=None):
     lo, hi, f = bracket or _sturm_bracket(p)
     if sign_at(f, hi) == 0:
         return ("exact", hi)
-    return _refine(("interval", lo, hi, f), width)
+    return _refine(("interval", lo, hi, f), Fraction(1, 1 << 30))
 
 
 def largest_real_root(p, abs_tol=1e-12):

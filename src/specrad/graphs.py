@@ -12,7 +12,6 @@ studied here (``extremal_graph``, ``shiu_graph``) and the graph6 codec.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -31,11 +30,9 @@ __all__ = [
     "min_degree",
     "is_connected",
     "components",
-    "induced_subgraph",
     "from_edges",
     "g6_encode",
     "g6_decode",
-    "parse_edge_list",
 ]
 
 
@@ -53,9 +50,11 @@ def edge_slots(n):
 class Graph:
     """Simple undirected graph; immutable, hashable, labeled.
 
-    ``rows[i]`` is the neighbour bitmask of vertex i.  Use the module
-    constructors (or :func:`from_edges`) to build instances; they keep
-    the no-loop/symmetry invariants.
+    ``rows[i]`` is the neighbour bitmask of vertex i.  ``Graph(n, rows)``
+    stores the rows as given and checks only their count: exact-algebra
+    tests pass asymmetric and looped 0/1 rows through it on purpose.
+    The module constructors (:func:`from_edges` and the families) and
+    :func:`g6_decode` build valid graphs; :meth:`validate` checks one.
     """
 
     n: int
@@ -108,13 +107,13 @@ class Graph:
     def is_complete(self):
         return all(r.bit_count() == self.n - 1 for r in self.rows)
 
-    def adjacency_matrix(self, dtype=float):
+    def adjacency_matrix(self):
         """Dense adjacency matrix as a numpy array."""
         nbytes = (self.n + 7) // 8
         raw = b"".join(r.to_bytes(nbytes, "little") for r in self.rows)
         bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(self.n, nbytes),
                              axis=1, bitorder="little")[:, : self.n]
-        return bits.astype(dtype)
+        return bits.astype(float)
 
     def _check_vertex(self, v):
         if not 0 <= v < self.n:
@@ -258,16 +257,8 @@ def extremal_graph(p):
     it.  Degrees: S-vertices n-1, A-vertices delta, B-vertices
     n-delta-2+k.
     """
-    p.validate()
-    n, k, a = p.n, p.k, p.delta - p.k + 1
-    mask_s = (1 << k) - 1
-    mask_a = ((1 << a) - 1) << k
-    mask_b = ((1 << n) - 1) ^ mask_s ^ mask_a
-    full = (1 << n) - 1
-    rows = [full ^ (1 << i) for i in range(k)]
-    rows += [(mask_s | mask_a) ^ (1 << i) for i in range(k, k + a)]
-    rows += [(mask_s | mask_b) ^ (1 << i) for i in range(k + a, n)]
-    return _graph(n, rows)
+    k, a, b = p.validate().block_sizes
+    return join(complete(k), disjoint_union(complete(a), complete(b)))
 
 
 def shiu_graph(n, k):
@@ -333,26 +324,6 @@ def _mask_vertices(mask):
         b = mask & -mask
         yield b.bit_length() - 1
         mask ^= b
-
-
-def induced_subgraph(g, vertices):
-    """Subgraph induced by `vertices`, relabeled to 0..len-1 in sorted order."""
-    vs = sorted(set(vertices))
-    if not vs:
-        raise ValueError("induced_subgraph needs a nonempty vertex set")
-    for v in vs:
-        g._check_vertex(v)
-    pos = {v: i for i, v in enumerate(vs)}
-    rows = [0] * len(vs)
-    for v in vs:
-        m = g.rows[v]
-        while m:
-            b = m & -m
-            w = b.bit_length() - 1
-            m ^= b
-            if w in pos:
-                rows[pos[v]] |= 1 << pos[w]
-    return _graph(len(vs), rows)
 
 
 # -- graph6 codec -------------------------------------------------------
@@ -430,35 +401,3 @@ def g6_decode(data):
             rows[j] |= 1 << i
     return _graph(n, rows)
 
-
-def parse_edge_list(text, n=None):
-    """Parse plain-text edges, one "u v" pair per line, 0-indexed.
-
-    Blank lines and lines starting with '#' are skipped.  The order is
-    max(vertex)+1 unless n is given.  Malformed lines raise ValueError
-    with their line number.
-    """
-    edges = []
-    top = -1
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        s = line.strip()
-        if not s or s.startswith("#"):
-            continue
-        parts = s.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'u v', got {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-integer vertex in {line!r}") from None
-        if u < 0 or v < 0:
-            raise ValueError(f"line {lineno}: negative vertex id in {line!r}")
-        if u == v:
-            raise ValueError(f"line {lineno}: self-loop {u} {v}")
-        edges.append((u, v))
-        top = max(top, u, v)
-    if n is None:
-        n = top + 1
-    if n < 1:
-        raise ValueError("edge list is empty and no vertex count was given")
-    return from_edges(n, edges)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import exactroots
 from .graphs import ExtremalParams
-from .spectral import Spectrum, _top_pair, full_spectrum
+from .spectral import _top_pair, full_spectrum
 
 __all__ = [
     "Partition",
@@ -175,15 +175,15 @@ def cubic_coefficients(p: ExtremalParams):
     return CubicCoeffs(c2, c1, c0)
 
 
-def largest_cubic_root(c: CubicCoeffs, abs_tol=1e-12):
-    """Largest real root of the cubic, within abs_tol; deterministic.
+def largest_cubic_root(c: CubicCoeffs):
+    """Largest real root of the cubic, within 1e-12; deterministic.
 
     The generic certified root of :func:`exactroots.largest_real_root`:
     an integer root is proved largest exactly, otherwise a float seed's
     bracket is certified by Descartes' rule of signs (Sturm bisection
     only if that fails) and refined by exact sign bisection.
     """
-    return exactroots.largest_real_root(c.as_poly(), abs_tol)
+    return exactroots.largest_real_root(c.as_poly(), 1e-12)
 
 
 def _symmetrized(qm: QuotientMatrix):
@@ -193,7 +193,7 @@ def _symmetrized(qm: QuotientMatrix):
 
 
 def quotient_spectrum(qm: QuotientMatrix):
-    """All eigenvalues of a quotient matrix.
+    """All eigenvalues of a quotient matrix, ascending.
 
     Q is not symmetric, but edge-count symmetry n_i q_ij = n_j q_ji makes
     D^{1/2} Q D^{-1/2} symmetric for D = diag(n_i), so the symmetric
@@ -226,14 +226,17 @@ def lift_block_vector(p: Partition, x):
     return y
 
 
-def check_interlacing(sub: Spectrum, full: Spectrum, slack=1e-9):
-    """lambda_i(A) >= lambda_i(Q) >= lambda_{i+n-m}(A) for all i, descending."""
+def check_interlacing(sub, full):
+    """lambda_i(A) >= lambda_i(Q) >= lambda_{i+n-m}(A) for all i, descending, within 1e-9.
+
+    `sub` and `full` are the eigenvalues of Q and A, in any order.
+    """
     m, n = len(sub), len(full)
     if m > n:
         raise ValueError(f"quotient spectrum larger than full spectrum ({m} > {n})")
-    qs = sorted(sub.eigs, reverse=True)
-    fs = sorted(full.eigs, reverse=True)
+    qs = sorted(sub, reverse=True)
+    fs = sorted(full, reverse=True)
     for i in range(m):
-        if not (fs[i] + slack >= qs[i] >= fs[i + n - m] - slack):
+        if not (fs[i] + 1e-9 >= qs[i] >= fs[i + n - m] - 1e-9):
             return False
     return True

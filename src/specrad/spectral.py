@@ -25,7 +25,6 @@ from .graphs import is_connected
 
 __all__ = [
     "PerronPair",
-    "Spectrum",
     "IntCharPoly",
     "Ordering",
     "perron",
@@ -63,20 +62,6 @@ class PerronPair:
         if np.min(v) <= 0:
             raise AssertionError("Perron vector has a non-positive entry")
         return self
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """All eigenvalues, sorted ascending."""
-
-    eigs: tuple
-
-    @property
-    def largest(self):
-        return self.eigs[-1]
-
-    def __len__(self):
-        return len(self.eigs)
 
 
 @dataclass(frozen=True)
@@ -148,7 +133,7 @@ def perron_rho_batch(mats):
 
 
 def full_spectrum(m):
-    """All eigenvalues of a symmetric matrix, from LAPACK.
+    """All eigenvalues of a symmetric matrix, ascending, from LAPACK.
 
     Input must be square and symmetric within 1e-12.
     """
@@ -157,7 +142,7 @@ def full_spectrum(m):
         raise ValueError("full_spectrum needs a square matrix")
     if a.size and np.max(np.abs(a - a.T)) > 1e-12:
         raise ValueError("matrix is not symmetric within 1e-12")
-    return Spectrum(tuple(float(v) for v in np.linalg.eigvalsh((a + a.T) / 2.0)))
+    return tuple(float(v) for v in np.linalg.eigvalsh((a + a.T) / 2.0))
 
 
 # Faddeev-LeVerrier runs modulo these primes, both below 2^46.  Residues

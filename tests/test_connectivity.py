@@ -10,14 +10,11 @@ from networkx.algorithms.connectivity import local_node_connectivity
 from conftest import random_connected_graph, random_graph
 from specrad.graphs import (
     ExtremalParams,
-    _component_mask,
     complete,
     cycle,
     disjoint_union,
     extremal_graph,
     from_edges,
-    induced_subgraph,
-    is_connected,
     min_degree,
     path,
 )
@@ -33,16 +30,14 @@ from specrad.connectivity import (
 
 def kappa_oracle(g):
     """Brute force: smallest vertex set whose removal disconnects g."""
-    n = g.n
-    if g.is_complete():
+    n, h = g.n, to_networkx(g)
+    if h.number_of_edges() == n * (n - 1) // 2:
         return n - 1
-    if not is_connected(g):
+    if not nx.is_connected(h):
         return 0
     for size in range(1, n - 1):
         for combo in combinations(range(n), size):
-            rest = [v for v in range(n) if v not in combo]
-            from specrad.graphs import induced_subgraph
-            if not is_connected(induced_subgraph(g, rest)):
+            if not nx.is_connected(h.subgraph(set(range(n)) - set(combo))):
                 return size
     return n - 1
 
@@ -96,10 +91,9 @@ class TestVertexConnectivity:
                 w.check(g)
                 # minimality: no (|cut|-1)-subset of the witness disconnects
                 if k >= 1:
-                    from specrad.graphs import induced_subgraph
+                    h = to_networkx(g)
                     for sub in combinations(sorted(w.cut), k - 1):
-                        rest = [v for v in range(g.n) if v not in sub]
-                        assert is_connected(induced_subgraph(g, rest))
+                        assert nx.is_connected(h.subgraph(set(range(g.n)) - set(sub)))
 
     def test_vs_networkx_atlas(self):
         # every connected graph of the atlas: all 996 on 1-7 vertices
@@ -147,11 +141,15 @@ class TestCutWitness:
 class TestSubsetRoute:
     def test_agrees_with_flow_route(self):
         rng = random.Random(23)
-        for _ in range(80):
-            g = random_graph(rng, rng.randint(1, 8))
+        graphs = [random_graph(rng, rng.randint(1, 8)) for _ in range(80)]
+        # the census orders
+        graphs += [random_graph(rng, n, p) for n in (8, 9, 10) for p in (0.3, 0.5, 0.7, 0.9)
+                   for _ in range(5)]
+        for g in graphs:
             kappa = vertex_connectivity(g)[0]
+            want = nx.node_connectivity(to_networkx(g))
             for k in range(-2, g.n):
-                assert connectivity_at_most(g, k) == (kappa <= k)
+                assert connectivity_at_most(g, k) == (kappa <= k) == (want <= k)
 
     def test_negative_k_is_false(self):
         # kappa >= 0 for every graph, the disconnected ones included
@@ -183,8 +181,6 @@ class TestMengerConsistency:
     def test_flow_equals_min_cut_over_pairs(self):
         # max vertex-disjoint path count == min separating set, spot-checked
         # by brute force over all separators for random non-adjacent pairs
-        from specrad.connectivity import _split_maxflow
-        from specrad.graphs import induced_subgraph
         rng = random.Random(24)
         checked = 0
         while checked < 200:
@@ -195,17 +191,12 @@ class TestMengerConsistency:
                 continue
             u, v = pairs[rng.randrange(len(pairs))]
             flow, _ = _split_maxflow(neighbour_lists(g), u, v)
+            h = to_networkx(g)
             best = None
             others = [w for w in range(g.n) if w not in (u, v)]
             for size in range(len(others) + 1):
                 for combo in combinations(others, size):
-                    rest = [w for w in range(g.n) if w not in combo]
-                    sub = induced_subgraph(g, rest)
-                    iu, iv = rest.index(u), rest.index(v)
-                    comp_masks = sub.rows  # reach check via BFS
-                    from specrad.graphs import _component_mask
-                    reach = _component_mask(sub.rows, (1 << sub.n) - 1, 1 << iu)
-                    if not reach >> iv & 1:
+                    if not nx.has_path(h.subgraph(set(range(g.n)) - set(combo)), u, v):
                         best = size
                         break
                 if best is not None:
@@ -277,10 +268,7 @@ class TestSplitMaxflow:
             assert flow == local_node_connectivity(to_networkx(g), s, t)
             cut = residual_cut(parent)
             assert len(cut) == flow and not cut & {s, t}
-            rest = [v for v in range(g.n) if v not in cut]
-            sub = induced_subgraph(g, rest)
-            reach = _component_mask(sub.rows, (1 << sub.n) - 1, 1 << rest.index(s))
-            assert not reach >> rest.index(t) & 1
+            assert not nx.has_path(to_networkx(g).subgraph(set(range(g.n)) - cut), s, t)
             checked += 1
 
     def test_cap_limit_exits_early(self):

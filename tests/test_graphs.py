@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from specrad.graphs import (
     ExtremalParams,
@@ -16,11 +18,9 @@ from specrad.graphs import (
     from_edges,
     g6_decode,
     g6_encode,
-    induced_subgraph,
     is_connected,
     join,
     min_degree,
-    parse_edge_list,
     path,
     shiu_graph,
     star,
@@ -113,6 +113,20 @@ class TestExtremalGraph:
                     if p.realizes_min_degree:
                         assert min_degree(g) == d
 
+    def test_positional_layout(self):
+        # S sees every other vertex; A and B are cliques that see S only
+        for n in range(3, 13):
+            for k in range(1, n - 1):
+                for d in range(k, n - 1):
+                    p = ExtremalParams(n, k, d)
+                    s, a, _ = p.block_sizes
+                    S, A = set(range(s)), set(range(s, s + a))
+                    B = set(range(s + a, n))
+                    g = extremal_graph(p)
+                    for v in range(n):
+                        want = set(range(n)) if v in S else S | (A if v in A else B)
+                        assert set(g.neighbors(v)) == want - {v}, (p, v)
+
     def test_both_cliques_trivial(self):
         # n = k+2, delta = k: K_{k+2} minus one edge
         for k in (1, 2, 3):
@@ -170,19 +184,6 @@ class TestQueries:
         assert is_connected(star(4))
         assert not is_connected(disjoint_union(path(1), path(1)))
 
-    def test_induced_clique_inside_extremal(self):
-        # blocks A u S of the (7,2,3) graph induce K_4; S u B induce K_5
-        g = extremal_graph(ExtremalParams(7, 2, 3))
-        assert induced_subgraph(g, [0, 1, 2, 3]) == complete(4)
-        assert induced_subgraph(g, [0, 1, 4, 5, 6]) == complete(5)
-
-    def test_induced_rejects(self):
-        g = complete(4)
-        with pytest.raises(ValueError):
-            induced_subgraph(g, [])
-        with pytest.raises(ValueError):
-            induced_subgraph(g, [0, 9])
-
     def test_edges_iterator(self):
         g = from_edges(5, [(0, 3), (1, 2), (3, 4)])
         assert sorted(g.edges()) == [(0, 3), (1, 2), (3, 4)]
@@ -232,22 +233,45 @@ class TestGraph6:
     def test_accepts_str_and_newline(self):
         assert g6_decode("Bw\n") == complete(3)
 
+    def test_round_trip_every_order_to_100(self):
+        # orders 63 and up take the 4-byte header
+        rng = random.Random(12)
+        for n in range(1, 101):
+            g = random_graph(rng, n, 0.3)
+            enc = g6_encode(g)
+            assert (enc[0] == 126) == (n >= 63)
+            assert g6_decode(enc).validate() == g
 
-class TestEdgeList:
-    def test_p4(self):
-        g = parse_edge_list("0 1\n1 2\n2 3\n")
-        assert g == path(4)
 
-    def test_comments_and_blanks(self):
-        g = parse_edge_list("# a square\n0 1\n\n1 2\n2 3\n0 3\n")
-        assert g == cycle(4)
+@st.composite
+def graphs(draw, max_n=100):
+    """n vertices and up to 3n edges, each (i, j) with j != i."""
+    n = draw(st.integers(1, max_n))
+    if n == 1:
+        return from_edges(1, [])
+    ends = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1))
+    edges = draw(st.lists(ends, max_size=3 * n))
+    return from_edges(n, [(i, (i + j) % n) for i, j in edges])
 
-    def test_line_numbers_in_errors(self):
-        with pytest.raises(ValueError, match="line 2"):
-            parse_edge_list("0 1\n1 x\n")
-        with pytest.raises(ValueError, match="line 3"):
-            parse_edge_list("0 1\n1 2\n2\n")
 
-    def test_explicit_order_allows_isolated(self):
-        g = parse_edge_list("0 1\n", n=4)
-        assert g.n == 4 and g.degrees() == (1, 1, 0, 0)
+@st.composite
+def extremal_params(draw, max_n=40):
+    n = draw(st.integers(3, max_n))
+    k = draw(st.integers(1, n - 2))
+    return ExtremalParams(n, k, draw(st.integers(k, n - 2)))
+
+
+@st.composite
+def shiu_args(draw, max_n=40):
+    n = draw(st.integers(2, max_n))
+    return n, draw(st.integers(1, n - 1))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(graphs(), graphs(max_n=20), extremal_params(), shiu_args())
+@example(path(62), path(63), ExtremalParams(3, 1, 1), (3, 2))
+def test_constructors_build_valid_graphs(g, h, p, nk):
+    for built in (g, h, join(g, h), join(h, g), disjoint_union(g, h), disjoint_union(h, g),
+                  extremal_graph(p), shiu_graph(*nk), g6_decode(g6_encode(g))):
+        built.validate()
+    assert g6_decode(g6_encode(g)) == g
