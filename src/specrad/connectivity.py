@@ -10,11 +10,11 @@ a flow is one list ``pred`` (the vertex feeding each vertex's unit, or
 -1), from which the residual network follows.  Removal witnesses are
 recovered from the final residual reachability.
 
-:func:`connectivity_at_most` decides kappa(G) <= k by exhausting vertex
-subsets of size <= k with the bitset BFS of :mod:`specrad.graphs`; it
-is equivalent to the max-flow route (tested).  Its cost is exponential
-in k: on the benchmark's census graphs it beats the max-flow route only
-at n <= 7.
+:func:`connectivity_at_most` decides kappa(G) <= k on k-sets alone: for
+k <= n-2, a smaller separator extends to one of exactly k vertices (keep
+one vertex in each of two components), so it costs C(n, k) bitset BFS
+calls of :mod:`specrad.graphs`.  It agrees with the max-flow route
+(tested) and beats it on the census graphs only for small n and k.
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ class CutWitness:
         assign = {}
         for idx, comp in enumerate(self.side_components):
             for v in comp:
+                if v in assign:
+                    raise AssertionError(f"vertex {v} is in two witness components")
                 assign[v] = idx
         if sorted(assign) != rest:
             raise AssertionError("witness components do not partition V minus cut")
@@ -64,12 +66,12 @@ class CutWitness:
         return self
 
 
-def _split_maxflow(nbrs, s, t, cap_limit=None):
+def _split_maxflow(nbrs, s, t, cap_limit):
     """Max vertex-disjoint s-t paths for non-adjacent s, t.
 
     ``nbrs[v]`` lists the neighbours of v.  BFS augmentation on the
     split digraph (``2v`` = v_in, ``2v+1`` = v_out); stops early once
-    the flow exceeds cap_limit when one is given.  The flow is the list
+    the flow exceeds cap_limit.  The flow is the list
     ``pred``: ``pred[w]`` is the vertex whose out-arc carries the unit
     into w_in, or -1, and the residual network follows from it.  v_out
     reaches every w_in, and v_in when v carries flow; v_in reaches v_out
@@ -82,7 +84,7 @@ def _split_maxflow(nbrs, s, t, cap_limit=None):
     source, sink = 2 * s + 1, 2 * t
     flow = 0
     while True:
-        if cap_limit is not None and flow > cap_limit:
+        if flow > cap_limit:
             return flow, None
         parent = [-1] * (2 * len(nbrs))
         parent[source] = source
@@ -164,41 +166,31 @@ def vertex_connectivity(g):
 
 
 def connectivity_at_most(g, k):
-    """Decide kappa(G) <= k by exhausting candidate cuts of size <= k.
+    """Decide kappa(G) <= k by trying every set of exactly k vertices.
 
-    Equivalent to vertex_connectivity(g)[0] <= k, and cheaper than it
-    only for small n and k (see the module docstring).
+    k = 0 tries the empty set, i.e. the connectivity test; C(n, k) bitset
+    BFS calls in all.  Equivalent to vertex_connectivity(g)[0] <= k.
     """
     if k < 0:
         return False  # kappa >= 0 > k
     n = g.n
     if k >= n - 1:
         return True
-    if not is_connected(g):
-        return True
-    if g.is_complete():
-        return False  # kappa = n-1 > k here
     full = (1 << n) - 1
     rows = g.rows
-    for size in range(1, k + 1):
-        for combo in combinations(range(n), size):
-            avail = full
-            for v in combo:
-                avail &= ~(1 << v)
-            if _component_mask(rows, avail, avail & -avail) != avail:
-                return True
+    for combo in combinations(range(n), k):
+        avail = full
+        for v in combo:
+            avail &= ~(1 << v)
+        if _component_mask(rows, avail, avail & -avail) != avail:
+            return True
     return False
 
 
 def is_k_connected(g, k):
-    """k-connectivity: either G = K_{k+1}, or n >= k+2 and no cut of size < k."""
+    """k-connectivity: n > k and kappa(G) >= k."""
     if k < 1:
         raise ValueError("is_k_connected needs k >= 1")
-    n = g.n
-    if n == k + 1:
-        return g.is_complete()
-    if n < k + 2:
-        return False
     return not connectivity_at_most(g, k - 1)
 
 

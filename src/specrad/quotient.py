@@ -219,6 +219,9 @@ def quotient_perron(qm: QuotientMatrix):
 def lift_block_vector(p: Partition, x):
     """Extend a per-block vector to a per-vertex vector, constant on blocks."""
     n = sum(p.sizes)
+    p.validate(n)
+    if len(x) != len(p.blocks):
+        raise ValueError(f"len(x) = {len(x)} but the partition has {len(p.blocks)} blocks")
     y = np.empty(n)
     for bi, block in enumerate(p.blocks):
         for v in block:

@@ -137,6 +137,12 @@ class TestCutWitness:
         with pytest.raises(AssertionError, match="empty"):
             CutWitness(cut, sides).check(complete(4))
 
+    def test_rejects_overlapping_components(self):
+        with pytest.raises(AssertionError, match="two witness components"):
+            CutWitness(frozenset(), ({0, 1}, {0, 1})).check(complete(2))
+        with pytest.raises(AssertionError, match="two witness components"):
+            CutWitness(frozenset({1}), ({0, 2}, {2})).check(path(3))
+
 
 class TestSubsetRoute:
     def test_agrees_with_flow_route(self):
@@ -148,8 +154,25 @@ class TestSubsetRoute:
         for g in graphs:
             kappa = vertex_connectivity(g)[0]
             want = nx.node_connectivity(to_networkx(g))
-            for k in range(-2, g.n):
+            for k in range(-2, g.n + 2):
                 assert connectivity_at_most(g, k) == (kappa <= k) == (want <= k)
+
+    def test_atlas_against_definition(self):
+        # every atlas graph on 1-7 vertices, the disconnected ones included:
+        # kappa(G) <= k, and k-connected means n > k and kappa(G) >= k
+        checked = 0
+        for h in nx.graph_atlas_g():
+            n = h.number_of_nodes()
+            if n == 0:
+                continue
+            g = from_edges(n, list(h.edges()))
+            kappa = nx.node_connectivity(h)
+            for k in range(-2, n + 2):
+                assert connectivity_at_most(g, k) == (kappa <= k)
+            for k in range(1, n + 2):
+                assert is_k_connected(g, k) == (n > k and kappa >= k)
+            checked += 1
+        assert checked == 1252
 
     def test_negative_k_is_false(self):
         # kappa >= 0 for every graph, the disconnected ones included
@@ -190,7 +213,7 @@ class TestMengerConsistency:
             if not pairs:
                 continue
             u, v = pairs[rng.randrange(len(pairs))]
-            flow, _ = _split_maxflow(neighbour_lists(g), u, v)
+            flow, _ = _split_maxflow(neighbour_lists(g), u, v, cap_limit=g.n)
             h = to_networkx(g)
             best = None
             others = [w for w in range(g.n) if w not in (u, v)]
@@ -249,7 +272,7 @@ class TestSplitMaxflow:
         assert len(list(nx.all_shortest_paths(h, 0, 4))) == 1
         assert local_node_connectivity(h, 0, 4) == want
         g = from_edges(h.number_of_nodes(), edges)
-        flow, parent = _split_maxflow(neighbour_lists(g), 0, 4)
+        flow, parent = _split_maxflow(neighbour_lists(g), 0, 4, cap_limit=g.n)
         assert flow == want
         assert residual_cut(parent) == want_cut
 
@@ -264,7 +287,7 @@ class TestSplitMaxflow:
             if not pairs:
                 continue
             s, t = pairs[rng.randrange(len(pairs))]
-            flow, parent = _split_maxflow(neighbour_lists(g), s, t)
+            flow, parent = _split_maxflow(neighbour_lists(g), s, t, cap_limit=g.n)
             assert flow == local_node_connectivity(to_networkx(g), s, t)
             cut = residual_cut(parent)
             assert len(cut) == flow and not cut & {s, t}
@@ -282,7 +305,7 @@ class TestSplitMaxflow:
             s, t = pairs[rng.randrange(len(pairs))]
             nbrs = neighbour_lists(g)
             true = local_node_connectivity(to_networkx(g), s, t)
-            uncapped_cut = residual_cut(_split_maxflow(nbrs, s, t)[1])
+            uncapped_cut = residual_cut(_split_maxflow(nbrs, s, t, cap_limit=g.n)[1])
             for c in range(true + 2):
                 flow, parent = _split_maxflow(nbrs, s, t, cap_limit=c)
                 if true > c:

@@ -283,6 +283,20 @@ class TestLifting:
                     a = g.adjacency_matrix()
                     assert np.max(np.abs(a @ y - rho * y)) <= 1e-9
 
+    def test_rejects_overlap(self):
+        with pytest.raises(ValueError, match="two blocks"):
+            lift_block_vector(Partition(((0, 1), (1,))), [1.0, 2.0])
+
+    def test_rejects_gap(self):
+        with pytest.raises(ValueError, match="out of range"):
+            lift_block_vector(Partition(((0,), (2,))), [1.0, 2.0])
+
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ValueError, match=r"len\(x\) = 3 but the partition has 2 blocks"):
+            lift_block_vector(Partition(((0,), (1, 2))), [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match=r"len\(x\) = 1 but"):
+            lift_block_vector(Partition(((0,), (1, 2))), [1.0])
+
 
 class TestInterlacing:
     def test_equal_spectra(self):
