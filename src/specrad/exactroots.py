@@ -1,14 +1,16 @@
 """Exact real-root tools for integer polynomials.
 
 Polynomials are tuples of Python ints in ascending power order, and all
-arithmetic stays in the integers: evaluation at a rational num/den
-reduces to an integer sign, and gcds, square-free parts and Sturm chains
-come from one primitive pseudo-remainder (the primitive PRS of Collins
-and Brown-Traub).  The largest real root is bracketed in one of two ways.
+arithmetic stays in the integers: one Horner pass gives den^d p(num/den),
+whose sign is that of p(num/den), and gcds, square-free parts and Sturm
+chains come from one primitive pseudo-remainder (the primitive PRS of
+Collins and Brown-Traub).  The largest real root is held in a dyadic
+bracket (lo, hi, e, f): the interval (lo/2^e, hi/2^e] of integers lo < hi,
+or the root lo/2^e itself when lo == hi; f is p or its square-free part.
 
 * Seeded certificate.  Given a float estimate (a caller's eigenvalue,
-  or numpy's polynomial roots in :func:`largest_real_root`), dyadic
-  brackets (lo, hi] of widening reach around it are tried.
+  or numpy's polynomial roots in :func:`largest_real_root`), brackets
+  of widening reach around it on the 2^-SEED_BITS grid are tried.
   :func:`shift_variations` counts the sign variations V(r) of p(r + t);
   by Descartes' rule of signs V(r) bounds the number of roots above r
   and has the same parity, so V(hi) = 0 and V(lo) = 1 prove that p has
@@ -19,12 +21,14 @@ and Brown-Traub).  The largest real root is bracketed in one of two ways.
   bracket around a good seed always certifies.
 * Sturm fallback.  Without a seed, or when no bracket certifies, the
   square-free part's Sturm chain counts roots while the Cauchy interval
-  is bisected, until one root is left in (lo, hi].
+  (-B, B] is bisected, until one root is left in the bracket.
 
 Sturm isolates; sign bisection refines.  Either bracket holds exactly
-one root, simple in the polynomial carried with it, with no root above,
-and from there all refinement is plain sign bisection.  Floats only
-seed brackets and polish final values, so comparisons of largest roots
+one root, simple in f, with no root above.  A halving tests the midpoint
+lo + hi on the grid of step 2^-(e+1), and two brackets being compared
+share one grid, so every endpoint test is an integer comparison.
+Fractions appear only at the public boundary, and floats only seed
+brackets and read off final values, so comparisons of largest roots
 (spectral radii of integer matrices) never hinge on rounding.
 """
 
@@ -56,10 +60,10 @@ __all__ = [
 # step (about 9e-13) already covers eigvalsh's error for n <= 32.
 SEED_BITS = 40
 SEED_REACH = (1, 4, 64, 1 << 12, 1 << 20)
-# Overlapping brackets are halved down to this width before the gcd is
-# formed: a common root on a fine dyadic grid (the integer radius of a
-# regular graph) is then met exactly by sign bisection, with no gcd.
-GCD_WIDTH = Fraction(1, 1 << 64)
+# Overlapping brackets are halved down to width 2^-GCD_BITS before the
+# gcd is formed: a common root on a fine dyadic grid (the integer radius
+# of a regular graph) is then met exactly by sign bisection, with no gcd.
+GCD_BITS = 64
 
 
 def normalize(p):
@@ -86,20 +90,32 @@ def _primitive(p):
     return tuple(c // g for c in p)
 
 
+def _value(p, num, den):
+    """den^d p(num/den) for a normalized p of degree d and den > 0."""
+    acc, dpow = 0, 1
+    for c in reversed(p):
+        acc = acc * num + c * dpow
+        dpow *= den
+    return acc
+
+
+def _shift_variations(p, num, den):
+    """V(num/den) for a normalized p: the Taylor shift by num of
+    den^d p(x / den), whose coefficients are those of p(num/den + t)
+    scaled by positive factors, built by Horner in x = num + t."""
+    q, dpow = [], 1
+    for c in reversed(p):
+        q = [num * x + y for x, y in zip(q + [0], [0] + q)]
+        q[0] += c * dpow
+        dpow *= den
+    return _variations(q)
+
+
 def sign_at(p, x):
     """Exact sign of p at a rational point (Fraction or int)."""
-    p = normalize(p)
-    if not p:
-        return 0
     x = Fraction(x)
-    num, den = x.numerator, x.denominator
-    # Horner on den^deg * p(num/den); stays in the integers
-    acc = p[-1]
-    dpow = 1
-    for c in reversed(p[:-1]):
-        dpow *= den
-        acc = acc * num + c * dpow
-    return (acc > 0) - (acc < 0)
+    v = _value(normalize(p), x.numerator, x.denominator)
+    return (v > 0) - (v < 0)
 
 
 def shift_variations(p, r):
@@ -107,23 +123,10 @@ def shift_variations(p, r):
 
     Descartes' rule of signs: V(r) is at least the number of roots of p
     above r, counted with multiplicity, and differs from it by an even
-    number; the two are equal when every root of p is real.  Computed in
-    the integers as the Taylor shift by num of den^d p(x / den), whose
-    coefficients are those of p(r + t) scaled by positive factors.
+    number; the two are equal when every root of p is real.
     """
-    p = normalize(p)
-    if not p:
-        return 0
     r = Fraction(r)
-    num, den = r.numerator, r.denominator
-    q = [p[-1]]  # Horner in x = num + t; ascending coefficients in t
-    dpow = 1
-    for c in reversed(p[:-1]):
-        dpow *= den
-        q = ([num * q[0] + c * dpow]
-             + [x + num * y for x, y in zip(q, q[1:])]
-             + [q[-1]])
-    return _variations((c > 0) - (c < 0) for c in q)
+    return _shift_variations(normalize(p), r.numerator, r.denominator)
 
 
 def cauchy_bound(p):
@@ -198,16 +201,20 @@ def sturm_chain(p):
     return chain
 
 
-def _variations(signs):
-    prev = 0
-    var = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev and s != prev:
-            var += 1
-        prev = s
+def _variations(values):
+    """Sign changes along a sequence of integers, zeros skipped."""
+    prev = var = 0
+    for v in values:
+        if v:
+            if prev and (v > 0) != (prev > 0):
+                var += 1
+            prev = v
     return var
+
+
+def _chain_variations(chain, num, den):
+    """Sign variations of a Sturm chain at num/den."""
+    return _variations(_value(f, num, den) for f in chain)
 
 
 def count_roots_in(chain, lo, hi):
@@ -216,46 +223,46 @@ def count_roots_in(chain, lo, hi):
     Endpoints are rationals; every real root lies in +-cauchy_bound.
     The chain's polynomial must be square-free.
     """
-    def var(x):
-        return _variations(sign_at(f, x) for f in chain)
+    lo, hi = Fraction(lo), Fraction(hi)
+    return (_chain_variations(chain, lo.numerator, lo.denominator)
+            - _chain_variations(chain, hi.numerator, hi.denominator))
 
-    return var(lo) - var(hi)
 
+def _versus_root(br, m):
+    """Sign of m/2^e - root for the bracket's root and an integer m.
 
-def _versus_root(loc, x):
-    """Sign of x - root for a rational x and an interval locator.
-
-    Above lo the locator's polynomial f has just that root, simple and
-    below hi, so above it f has the sign of its leading coefficient and
-    between lo and it the opposite sign.
+    Inside an interval bracket the polynomial f has just that root,
+    simple, so above it f has the sign of its leading coefficient and
+    below it the opposite sign; a zero-width bracket is the root itself.
     """
-    _, lo, hi, f = loc
-    if x <= lo:
-        return -1
-    if x >= hi:
-        return 1
-    s = sign_at(f, x)
-    return s if f[-1] > 0 else -s
+    lo, hi, e, f = br
+    if not lo < m < hi:
+        return (m > lo) - (m < hi)
+    v = _value(f, m, 1 << e) * f[-1]
+    return (v > 0) - (v < 0)
 
 
-def _halve(loc):
-    """One exact sign-bisection step of an interval locator."""
-    _, lo, hi, f = loc
-    mid = (lo + hi) / 2
-    side = _versus_root(loc, mid)
-    if side == 0:
-        return ("exact", mid)
-    return ("interval", lo, mid, f) if side > 0 else ("interval", mid, hi, f)
+def _halve(br):
+    """One exact sign-bisection step, onto the grid twice as fine."""
+    lo, hi, e, f = 2 * br[0], 2 * br[1], br[2] + 1, br[3]
+    mid = (lo + hi) // 2
+    side = _versus_root((lo, hi, e, f), mid)
+    if side <= 0:
+        lo = mid
+    if side >= 0:
+        hi = mid
+    return lo, hi, e, f
 
 
-def _refine(loc, width):
-    while loc[0] == "interval" and loc[2] - loc[1] > width:
-        loc = _halve(loc)
-    return loc
+def _refine(br, bits):
+    """Halve until the bracket is exact or at most 2^-bits wide."""
+    while br[0] < br[1] and (br[1] - br[0]) << bits > 1 << br[2]:
+        br = _halve(br)
+    return br
 
 
 def _seeded_bracket(p, seed):
-    """Certified (lo, hi, p) around a float seed, or None.
+    """Certified bracket (lo, hi, SEED_BITS, p) around a float seed, or None.
 
     With base the grid point at or below the seed, hi is the first
     base + h (h in SEED_REACH) with V(hi) = 0, so no root lies above it,
@@ -268,44 +275,52 @@ def _seeded_bracket(p, seed):
     if not math.isfinite(scaled):
         return None
     base = math.floor(scaled)
-    for h in SEED_REACH:
-        hi = Fraction(base + h, scale)
-        if shift_variations(p, hi) == 0:
-            break
-    else:
+    hi = next((base + h for h in SEED_REACH if _shift_variations(p, base + h, scale) == 0), None)
+    if hi is None:
         return None
     for h in SEED_REACH:
-        lo = Fraction(base - h, scale)
-        v = shift_variations(p, lo)
+        v = _shift_variations(p, base - h, scale)
         if v == 1:
-            return lo, hi, p
+            return base - h, hi, SEED_BITS, p
         if v > 1:
             return None
     return None
 
 
 def _sturm_bracket(p):
-    """(lo, hi, f) with f the square-free part of p and its largest root
-    the only root of f in (lo, hi], none above hi.
+    """Bracket (lo, hi, e, f) with f the square-free part of p and its
+    largest root the only root of f in (lo/2^e, hi/2^e], none above.
 
     The Cauchy interval is bisected on Sturm counts only while more than
-    one root of f is left in (lo, hi].
+    one root of f is left in the bracket; V(hi) is carried along.
     """
     sf = square_free_part(p)
     chain = sturm_chain(sf)
     bound = cauchy_bound(sf)
-    lo, hi = Fraction(-bound), Fraction(bound)
-    count = count_roots_in(chain, lo, hi)
+    lo, hi, e = -bound, bound, 0
+    vhi = _chain_variations(chain, hi, 1)
+    count = _chain_variations(chain, lo, 1) - vhi
     if count < 1:
         raise ValueError("polynomial has no real root")
     while count > 1:
-        mid = (lo + hi) / 2
-        above = count_roots_in(chain, mid, hi)
-        if above:
-            lo, count = mid, above
+        lo, hi, e = 2 * lo, 2 * hi, e + 1
+        mid = (lo + hi) // 2
+        vmid = _chain_variations(chain, mid, 1 << e)
+        if vmid > vhi:
+            lo, count = mid, vmid - vhi
         else:
-            hi = mid
-    return lo, hi, sf
+            hi, vhi = mid, vmid
+    return lo, hi, e, sf
+
+
+def _isolate(p, seed):
+    """Bracket of the largest real root of a normalized p: seeded if the
+    seed certifies, else from Sturm; zero-width when hi is the root."""
+    bracket = None if seed is None else _seeded_bracket(p, seed)
+    lo, hi, e, f = bracket or _sturm_bracket(p)
+    if _value(f, hi, 1 << e) == 0:
+        return hi, hi, e, f
+    return lo, hi, e, f
 
 
 def isolate_largest_root(p, seed=None):
@@ -319,85 +334,69 @@ def isolate_largest_root(p, seed=None):
     certification fails, Sturm bisection of the Cauchy interval isolates
     it.  Raises ValueError when p has no real root.
     """
-    p = normalize(p)
-    bracket = None if seed is None else _seeded_bracket(p, seed)
-    lo, hi, f = bracket or _sturm_bracket(p)
-    if sign_at(f, hi) == 0:
-        return ("exact", hi)
-    return _refine(("interval", lo, hi, f), Fraction(1, 1 << 30))
+    lo, hi, e, f = _refine(_isolate(normalize(p), seed), 30)
+    if lo == hi:
+        return ("exact", Fraction(lo, 1 << e))
+    return ("interval", Fraction(lo, 1 << e), Fraction(hi, 1 << e), f)
 
 
 def largest_real_root(p, abs_tol=1e-12):
-    """Largest real root of p as a float, within abs_tol.
+    """Largest real root of p as a float, within abs_tol (finite, > 0).
 
     The largest real part among numpy's roots of p is the seed.  When the
     integer m nearest to it has p(m) = 0 and V(m) = 0, Descartes' rule
     proves m the largest root, exactly (this covers repeated roots on
-    top, which no bracket certifies).  Otherwise the seed goes to
-    :func:`isolate_largest_root`, whose interval is bisected to abs_tol
-    and the midpoint polished by Newton steps clamped to it.
+    top, which no bracket certifies).  Otherwise the seed's bracket (see
+    :func:`isolate_largest_root`) is bisected to width at most abs_tol/4
+    on the dyadic grid, and its midpoint, correctly rounded, is returned.
     """
+    if not (math.isfinite(abs_tol) and abs_tol > 0):
+        raise ValueError(f"abs_tol must be finite and positive, got {abs_tol}")
     p = normalize(p)
     roots = np.roots(np.array(p[::-1], dtype=float))
     seed = float(roots.real.max()) if len(roots) else None
     if seed is not None and math.isfinite(seed):
         m = round(seed)
-        if sign_at(p, m) == 0 and shift_variations(p, m) == 0:
+        if _value(p, m, 1) == 0 and _shift_variations(p, m, 1) == 0:
             return float(m)
-    loc = _refine(isolate_largest_root(p, seed=seed), Fraction(abs_tol) / 4)
-    if loc[0] == "exact":
-        return float(loc[1])
-    _, lo, hi, _ = loc
-    x = float((lo + hi) / 2)
-    flo, fhi = float(lo), float(hi)
-    dp = derivative(p)
-    for _ in range(3):
-        fx = _horner(p, x)
-        dx = _horner(dp, x)
-        if dx == 0:
-            break
-        x = min(max(x - fx / dx, flo), fhi)
-    return x
-
-
-def _horner(p, x):
-    acc = 0.0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
+    # 2^-bits <= abs_tol / 4, since abs_tol >= 2^(exponent - 1)
+    bits = max(0, 3 - math.frexp(abs_tol)[1])
+    lo, hi, e, _ = _refine(_isolate(p, seed), bits)
+    return (lo + hi) / (2 << e)
 
 
 def compare_largest_roots(p, q, seeds=(None, None)):
     """Compare the largest real roots of p and q exactly: -1, 0, or +1.
 
     `seeds` holds an optional float estimate of each largest root (see
-    :func:`isolate_largest_root`).  The two isolating intervals are
-    halved by exact sign bisection until they separate.  Once both are
-    narrower than GCD_WIDTH and still overlap in (ilo, ihi), the roots
-    are equal iff the gcd of the two locator polynomials has a root
-    there.  It can have only that one, simple, and none at ihi, so a
-    sign change between the ends shows it; a root of the gcd at ilo
-    itself hides the change until a halving moves ilo, so the test
-    repeats on every overlap.
+    :func:`isolate_largest_root`).  Both brackets are moved onto the finer
+    of their two grids and halved together by exact sign bisection until
+    they separate.  Once both are at most 2^-GCD_BITS wide and still
+    overlap in (ilo, ihi), the roots are equal iff the gcd of the two
+    bracket polynomials has a root there.  It can have only that one,
+    simple, and none at ihi, so a sign change between the ends shows it;
+    a root of the gcd at ilo itself hides the change until a halving
+    moves ilo, so the test repeats on every overlap.
     """
-    a, b = (isolate_largest_root(f, seed=s) for f, s in zip((p, q), seeds))
+    a, b = (_isolate(normalize(f), s) for f, s in zip((p, q), seeds))
+    e = max(a[2], b[2])
+    a, b = ((lo << e - k, hi << e - k, e, f) for lo, hi, k, f in (a, b))
     shared = None  # gcd, formed on the first narrow overlap
     for _ in range(512):
-        if a[0] == "exact" and b[0] == "exact":
-            return (a[1] > b[1]) - (a[1] < b[1])
-        if a[0] == "exact":
-            return _versus_root(b, a[1])
-        if b[0] == "exact":
-            return -_versus_root(a, b[1])
-        if a[2] <= b[1]:
+        (alo, ahi, e, f), (blo, bhi, _, g) = a, b
+        if alo == ahi:
+            return _versus_root(b, alo)
+        if blo == bhi:
+            return -_versus_root(a, blo)
+        if ahi <= blo:
             return -1  # alpha < ahi <= blo < beta
-        if b[2] <= a[1]:
+        if bhi <= alo:
             return 1
-        if max(a[2] - a[1], b[2] - b[1]) <= GCD_WIDTH:
+        if max(ahi - alo, bhi - blo) << GCD_BITS <= 1 << e:
             if shared is None:
-                shared = poly_gcd(a[3], b[3])
-            ilo, ihi = max(a[1], b[1]), min(a[2], b[2])
-            if len(shared) > 1 and sign_at(shared, ilo) * sign_at(shared, ihi) < 0:
+                shared = poly_gcd(f, g)
+            ilo, ihi, den = max(alo, blo), min(ahi, bhi), 1 << e
+            if len(shared) > 1 and _value(shared, ilo, den) * _value(shared, ihi, den) < 0:
                 return 0
         a, b = _halve(a), _halve(b)
     raise RuntimeError("compare_largest_roots failed to separate after 512 rounds")

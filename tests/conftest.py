@@ -1,4 +1,5 @@
-"""Shared helpers: seeded random graphs, a counter on the Sturm fallback."""
+"""Shared helpers: seeded random graphs, a counter on the Sturm fallback,
+a guard that the exact root engine builds no Fraction."""
 
 import random
 
@@ -33,3 +34,13 @@ def sturm_calls(monkeypatch):
 
     monkeypatch.setattr(exactroots, "sturm_chain", counting)
     return calls
+
+
+@pytest.fixture
+def no_fraction(monkeypatch):
+    """Makes any Fraction that exactroots builds raise: the seeded and
+    integer-root paths keep their brackets in integers."""
+    def stub(*args):
+        raise AssertionError(f"exactroots built Fraction{args}")
+
+    monkeypatch.setattr(exactroots, "Fraction", stub)

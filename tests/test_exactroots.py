@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from specrad import exactroots
 from specrad.exactroots import (
-    _refine,
     cauchy_bound,
     compare_largest_roots,
     count_roots_in,
@@ -196,6 +195,19 @@ def test_no_real_root_raises():
         largest_real_root((1, 0, 1))
     with pytest.raises(ValueError):
         largest_real_root((5,))
+    # the seeded path: no bracket certifies, and the fallback finds no root
+    with pytest.raises(ValueError):
+        isolate_largest_root((), seed=1.0)
+    with pytest.raises(ValueError):
+        isolate_largest_root((0, 0), seed=2.0)
+    with pytest.raises(ValueError):
+        compare_largest_roots((), (-2, 0, 1), seeds=(1.0, 1.4))
+
+
+@pytest.mark.parametrize("abs_tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_largest_real_root_rejects_bad_tolerance(abs_tol):
+    with pytest.raises(ValueError, match="abs_tol"):
+        largest_real_root((-2, 0, 1), abs_tol)
 
 
 @st.composite
@@ -223,9 +235,21 @@ def real_rooted_factored(draw):
 @example((10, -9, 2), 1e-12)
 @example((-630, 978, -613, 194, -31, 2), 1e-12)
 def test_self_seeded_root_agrees_with_unseeded(p, abs_tol):
-    loc = _refine(isolate_largest_root(p), Fraction(abs_tol) / 4)
+    loc = _bisect(isolate_largest_root(p), Fraction(abs_tol) / 4)
     want = float(loc[1]) if loc[0] == "exact" else float((loc[1] + loc[2]) / 2)
     assert abs(largest_real_root(p, abs_tol) - want) <= abs_tol
+
+
+def _bisect(loc, width):
+    """Sign bisection of a public isolating interval in Fractions, down to
+    `width`: the reference for the engine's integer refinement."""
+    while loc[0] == "interval" and loc[2] - loc[1] > width:
+        _, lo, hi, f = loc
+        mid = (lo + hi) / 2
+        side = sign_at(f, mid) * (1 if f[-1] > 0 else -1)
+        loc = (("exact", mid) if side == 0 else
+               ("interval", lo, mid, f) if side > 0 else ("interval", mid, hi, f))
+    return loc
 
 
 @st.composite
@@ -327,7 +351,7 @@ class TestCompare:
         assert sturm_calls
         assert compare_largest_roots(paw, c4) == 1
 
-    def test_good_seeds_skip_sturm_and_gcd(self, sturm_calls, monkeypatch):
+    def test_good_seeds_skip_sturm_and_gcd(self, sturm_calls, monkeypatch, no_fraction):
         monkeypatch.setattr(exactroots, "poly_gcd", None)  # dyadic ties need no gcd
         c4 = (0, 0, -4, 0, 1)
         c5 = (-2, 5, 0, -5, 0, 1)
@@ -336,7 +360,7 @@ class TestCompare:
         assert compare_largest_roots((-2, 0, 1), (-181, 128), seeds=(1.4142135623730951, 1.4140625)) == 1
         assert not sturm_calls
 
-    def test_irrational_tie_takes_gcd(self, sturm_calls, monkeypatch):
+    def test_irrational_tie_takes_gcd(self, sturm_calls, monkeypatch, no_fraction):
         gcds = []
         real = exactroots.poly_gcd
         monkeypatch.setattr(exactroots, "poly_gcd", lambda a, b: gcds.append(1) or real(a, b))

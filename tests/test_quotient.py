@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_connected_graph, random_graph
+from specrad.exactroots import compare_largest_roots
 from specrad.graphs import ExtremalParams, complete, extremal_graph, path
 from specrad.quotient import (
     CubicCoeffs,
@@ -197,9 +198,10 @@ class TestLargestCubicRoot:
         got = largest_cubic_root(CubicCoeffs(0, 1, 1))
         assert got**3 + got + 1 == pytest.approx(0.0, abs=1e-10)
 
-    def test_extremal_cubics_skip_sturm(self, sturm_calls):
-        # every valid triple with n < 40: certified without the fallback,
-        # and equal to the top eigenvalue of the symmetrized quotient
+    def test_extremal_cubics_skip_sturm(self, sturm_calls, no_fraction):
+        # every valid triple with n < 40: certified without the fallback
+        # or a Fraction, and equal to the top eigenvalue of the
+        # symmetrized quotient
         count = 0
         for n in range(4, 40):
             for k in range(1, n - 1):
@@ -246,6 +248,31 @@ class TestEndToEnd:
         p = ExtremalParams(7, 2, 3)
         qs = quotient_spectrum(two_clique_quotient(*p.block_sizes))
         assert qs[-1] == pytest.approx(perron(extremal_graph(p)).rho, abs=1e-9)
+
+
+class TestCliqueJoinGrid:
+    def test_neighbours_follow_the_paper(self):
+        # K_s + (K_a u K_{n-s-a}) with a <= (n-s)/2: rho rises with s and
+        # falls with a.  Unseeded exact comparisons of the cubics, in both
+        # argument orders, agree with the eigvalsh gap of the graphs
+        pairs = 0
+        for n in range(3, 17):
+            grid = {}
+            for s in range(1, n):
+                for a in range(1, (n - s) // 2 + 1):
+                    p = ExtremalParams(n, s, s + a - 1)
+                    rho = np.linalg.eigvalsh(extremal_graph(p).adjacency_matrix())[-1]
+                    grid[s, a] = cubic_coefficients(p).as_poly(), rho
+            for (s, a), (p, rho) in grid.items():
+                for nb, want in (((s + 1, a), -1), ((s, a + 1), 1)):
+                    if nb not in grid:
+                        continue
+                    q, sigma = grid[nb]
+                    assert abs(rho - sigma) > 1e-3 and np.sign(rho - sigma) == want
+                    assert compare_largest_roots(p, q) == want, (n, s, a, nb)
+                    assert compare_largest_roots(q, p) == -want, (n, s, a, nb)
+                    pairs += 1
+        assert pairs == 455
 
 
 class TestClaimThreeStructure:
