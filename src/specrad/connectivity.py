@@ -45,24 +45,25 @@ class CutWitness:
     side_components: tuple
 
     def check(self, g):
-        """Verify the witness against g; raises on violation."""
-        rest = [v for v in range(g.n) if v not in self.cut]
-        assign = {}
-        for idx, comp in enumerate(self.side_components):
-            for v in comp:
-                if v in assign:
-                    raise AssertionError(f"vertex {v} is in two witness components")
-                assign[v] = idx
-        if sorted(assign) != rest:
-            raise AssertionError("witness components do not partition V minus cut")
-        if len(self.side_components) < 2:
+        """Verify the witness against g; raises on violation.
+
+        The cut must consist of vertices of g, and the sides must be
+        exactly the components of G - cut, at least two of them, as the
+        bitset BFS of :func:`graphs._components_within` finds them.
+        """
+        for v in self.cut:
+            if not (isinstance(v, int) and 0 <= v < g.n):
+                raise AssertionError(f"cut vertex {v!r} is not a vertex of the graph")
+        sides = [frozenset(c) for c in self.side_components]
+        if len(sides) < 2:
             raise AssertionError("witness must leave at least two components")
-        if not all(self.side_components):
+        if not all(sides):
             raise AssertionError("witness component is empty")
-        for u in rest:
-            for v in g.neighbors(u):
-                if v in assign and assign[v] != assign[u]:
-                    raise AssertionError(f"edge {u}-{v} crosses witness components")
+        if sum(map(len, sides)) != len(frozenset().union(*sides)):
+            raise AssertionError("a vertex is in two witness components")
+        rest = ((1 << g.n) - 1) & ~sum(1 << v for v in self.cut)
+        if set(sides) != set(_components_within(g.rows, rest)):
+            raise AssertionError("witness components are not the components of G - cut")
         return self
 
 
@@ -197,7 +198,9 @@ def is_k_connected(g, k):
 def lemma_guarantee(n, k, delta):
     """True iff delta > (n+k)/2 + 1, evaluated exactly over the integers.
 
-    Graphs meeting this degree threshold are always (k+1)-connected;
-    the census verifies that implication exhaustively.
+    Graphs meeting this degree threshold are always (k+1)-connected: a
+    separator S with sides A and B has every vertex of A adjacent only
+    within A u S, so delta <= |A| - 1 + |S| and likewise for B; adding
+    the two gives 2 delta <= n + |S| - 2, hence |S| > k + 4.
     """
     return 2 * delta > n + k + 2

@@ -51,7 +51,7 @@ class Graph:
     """Simple undirected graph; immutable, hashable, labeled.
 
     ``rows[i]`` is the neighbour bitmask of vertex i.  ``Graph(n, rows)``
-    stores the rows as given and checks only their count: exact-algebra
+    stores the rows as a tuple and checks only their count: exact-algebra
     tests pass asymmetric and looped 0/1 rows through it on purpose.
     The module constructors (:func:`from_edges` and the families) and
     :func:`g6_decode` build valid graphs; :meth:`validate` checks one.
@@ -61,6 +61,7 @@ class Graph:
     rows: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "rows", tuple(self.rows))
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
         if len(self.rows) != self.n:
@@ -135,11 +136,6 @@ class Graph:
         return self
 
 
-def _graph(n, rows):
-    # internal: rows already satisfy the invariants
-    return Graph(n, tuple(rows))
-
-
 def from_edges(n, edges):
     """Graph on n vertices from an iterable of (u, v) pairs."""
     rows = [0] * n
@@ -150,7 +146,7 @@ def from_edges(n, edges):
             raise ValueError(f"self-loop ({u},{v}) not allowed")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return _graph(n, rows)
+    return Graph(n, rows)
 
 
 # -- families ---------------------------------------------------------
@@ -161,7 +157,7 @@ def complete(n):
     if n < 1:
         raise ValueError("empty graph: complete() needs n >= 1")
     full = (1 << n) - 1
-    return _graph(n, [full ^ (1 << i) for i in range(n)])
+    return Graph(n, [full ^ (1 << i) for i in range(n)])
 
 
 def cycle(n):
@@ -192,14 +188,14 @@ def join(g, h):
     lo_mask = (1 << n) - 1
     rows = [r | hi_mask for r in g.rows]
     rows += [(r << n) | lo_mask for r in h.rows]
-    return _graph(n + m, rows)
+    return Graph(n + m, rows)
 
 
 def disjoint_union(g, h):
     """Disjoint union of g and h; h's vertices are relabeled to start at g.n."""
     n = g.n
     rows = list(g.rows) + [r << n for r in h.rows]
-    return _graph(n + h.n, rows)
+    return Graph(n + h.n, rows)
 
 
 @dataclass(frozen=True)
@@ -399,5 +395,5 @@ def g6_decode(data):
         if bits[t]:
             rows[i] |= 1 << j
             rows[j] |= 1 << i
-    return _graph(n, rows)
+    return Graph(n, rows)
 

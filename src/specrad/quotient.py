@@ -10,6 +10,7 @@ the clique-join family to the largest root of a cubic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +55,8 @@ class Partition:
             if not b:
                 raise ValueError("partition block is empty")
             for v in b:
-                if not 0 <= v < n:
-                    raise ValueError(f"vertex {v} out of range")
+                if not (isinstance(v, int) and 0 <= v < n):
+                    raise ValueError(f"vertex {v!r} out of range")
                 if v in seen:
                     raise ValueError(f"vertex {v} appears in two blocks")
                 seen.add(v)
@@ -66,7 +67,7 @@ class Partition:
 
 def canonical_three_blocks(p: ExtremalParams):
     """The positional (S, A, B) partition of the canonical clique-join layout."""
-    k, a, b = p.block_sizes
+    k, a, b = p.validate().block_sizes
     return Partition((tuple(range(k)),
                       tuple(range(k, k + a)),
                       tuple(range(k + a, k + a + b))))
@@ -74,70 +75,65 @@ def canonical_three_blocks(p: ExtremalParams):
 
 @dataclass(frozen=True)
 class QuotientMatrix:
-    """Block-averaged edge-count matrix of a partition.
+    """Integer edge counts of a partition, and the matrices derived from them.
 
-    ``matrix`` holds the real entries; ``edge_counts[i][j]`` keeps the
-    exact integer e_ij (e_i on the diagonal), so edge-count symmetry
-    n_i q_ij = n_j q_ji can be checked exactly.
+    ``edge_counts[i][j]`` is e_ij (e_i on the diagonal), so edge-count
+    symmetry n_i q_ij = n_j q_ji holds exactly; ``matrix`` and the
+    symmetric form are computed from the counts when asked for.
     """
 
-    matrix: np.ndarray
     sizes: tuple
     edge_counts: tuple
 
+    def _degree_sums(self):
+        """C with C_ij = e_ij and C_ii = 2 e_i, i.e. n_i q_ij: symmetric."""
+        return [[2 * e if i == j else e for j, e in enumerate(row)]
+                for i, row in enumerate(self.edge_counts)]
+
     @property
-    def m(self):
-        return len(self.sizes)
+    def matrix(self):
+        """q_ij = e_ij / n_i off the diagonal, 2 e_i / n_i on it."""
+        return np.array([[c / n for c in row]
+                         for n, row in zip(self.sizes, self._degree_sums())])
+
+
+def _block_degrees(g, p):
+    """d[i][j] lists the neighbour counts in block j of the vertices of block i."""
+    p.validate(g.n)
+    masks = [sum(1 << v for v in b) for b in p.blocks]
+    return [[[(g.rows[v] & mj).bit_count() for v in b] for mj in masks]
+            for b in p.blocks]
 
 
 def is_equitable(g, p):
     """True iff every vertex of block i has the same neighbour count in block j."""
-    p.validate(g.n)
-    masks = [sum(1 << v for v in b) for b in p.blocks]
-    for block in p.blocks:
-        for mj in masks:
-            counts = {(g.rows[v] & mj).bit_count() for v in block}
-            if len(counts) > 1:
-                return False
-    return True
+    return all(len(set(counts)) == 1 for d_i in _block_degrees(g, p) for counts in d_i)
 
 
 def quotient_matrix(g, p):
-    """Quotient matrix of a partition; entries are averages, counts exact."""
-    p.validate(g.n)
-    m = len(p.blocks)
-    masks = [sum(1 << v for v in b) for b in p.blocks]
-    counts = [[0] * m for _ in range(m)]
-    for i, block in enumerate(p.blocks):
-        for j in range(m):
-            tot = sum((g.rows[v] & masks[j]).bit_count() for v in block)
-            counts[i][j] = tot // 2 if i == j else tot  # within-block edges counted twice
-    q = np.zeros((m, m))
-    for i in range(m):
-        ni = len(p.blocks[i])
-        for j in range(m):
-            q[i, j] = (2 * counts[i][i] if i == j else counts[i][j]) / ni
-    return QuotientMatrix(q, tuple(len(b) for b in p.blocks),
-                          tuple(tuple(row) for row in counts))
+    """Quotient matrix of a partition, kept as its exact edge counts."""
+    counts = []
+    for i, d_i in enumerate(_block_degrees(g, p)):
+        row = [sum(counts_ij) for counts_ij in d_i]
+        row[i] //= 2  # within-block edges are counted from both ends
+        counts.append(tuple(row))
+    return QuotientMatrix(p.sizes, tuple(counts))
 
 
 def two_clique_quotient(k, n1, n2):
     """Quotient of a k-clique joined to two disjoint cliques K_n1, K_n2.
 
-    [[k-1, n1, n2], [k, n1-1, 0], [k, 0, n2-1]].  For ExtremalParams p,
-    two_clique_quotient(*p.block_sizes) equals
-    quotient_matrix(extremal_graph(p), canonical_three_blocks(p))
-    entrywise, because that partition is equitable.
+    Its matrix is [[k-1, n1, n2], [k, n1-1, 0], [k, 0, n2-1]].  For
+    ExtremalParams p, two_clique_quotient(*p.block_sizes) equals
+    quotient_matrix(extremal_graph(p), canonical_three_blocks(p)),
+    because that partition is equitable.
     """
     if k < 1 or n1 < 1 or n2 < 1:
         raise ValueError("two_clique_quotient needs k, n1, n2 >= 1")
-    q = np.array([[k - 1, n1, n2],
-                  [k, n1 - 1, 0],
-                  [k, 0, n2 - 1]], dtype=float)
-    counts = ((k * (k - 1) // 2, k * n1, k * n2),
-              (k * n1, n1 * (n1 - 1) // 2, 0),
-              (k * n2, 0, n2 * (n2 - 1) // 2))
-    return QuotientMatrix(q, (k, n1, n2), counts)
+    return QuotientMatrix((k, n1, n2),
+                          ((k * (k - 1) // 2, k * n1, k * n2),
+                           (k * n1, n1 * (n1 - 1) // 2, 0),
+                           (k * n2, 0, n2 * (n2 - 1) // 2)))
 
 
 @dataclass(frozen=True)
@@ -150,9 +146,6 @@ class CubicCoeffs:
 
     def as_poly(self):
         return (self.c0, self.c1, self.c2, 1)
-
-    def evaluate(self, x):
-        return ((x + self.c2) * x + self.c1) * x + self.c0
 
 
 def cubic_coefficients(p: ExtremalParams):
@@ -188,8 +181,10 @@ def largest_cubic_root(c: CubicCoeffs):
 
 def _symmetrized(qm: QuotientMatrix):
     """(D^{1/2} Q D^{-1/2}, sqrt of the block sizes) for D = diag(n_i)."""
-    d = np.sqrt(np.array(qm.sizes, dtype=float))
-    return qm.matrix * (d[:, None] / d[None, :]), d
+    d = [math.sqrt(n) for n in qm.sizes]
+    # entry ij is C_ij / (sqrt(n_i) sqrt(n_j)) for the symmetric C = DQ: exactly symmetric
+    sym = [[c / (di * dj) for c, dj in zip(row, d)] for di, row in zip(d, qm._degree_sums())]
+    return np.array(sym), np.array(d)
 
 
 def quotient_spectrum(qm: QuotientMatrix):

@@ -54,7 +54,9 @@ class PerronPair:
     def check(self, adjacency):
         """Assert the defining invariants against the adjacency matrix."""
         v = self.vec
-        if abs(np.linalg.norm(v) - 1.0) > 1e-12:
+        if not math.isfinite(self.rho):
+            raise AssertionError("Perron radius is not finite")
+        if not abs(np.linalg.norm(v) - 1.0) <= 1e-12:  # NaN and inf fail too
             raise AssertionError("Perron vector is not unit length")
         res = self.residual(adjacency)
         if res > RESIDUAL_FACTOR * max(1.0, self.rho):
@@ -135,11 +137,13 @@ def perron_rho_batch(mats):
 def full_spectrum(m):
     """All eigenvalues of a symmetric matrix, ascending, from LAPACK.
 
-    Input must be square and symmetric within 1e-12.
+    Input must be square, finite and symmetric within 1e-12.
     """
     a = np.array(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("full_spectrum needs a square matrix")
+    if not np.isfinite(a).all():
+        raise ValueError("full_spectrum needs finite entries")
     if a.size and np.max(np.abs(a - a.T)) > 1e-12:
         raise ValueError("matrix is not symmetric within 1e-12")
     return tuple(float(v) for v in np.linalg.eigvalsh((a + a.T) / 2.0))

@@ -143,6 +143,15 @@ class TestCutWitness:
         with pytest.raises(AssertionError, match="two witness components"):
             CutWitness(frozenset({1}), ({0, 2}, {2})).check(path(3))
 
+    def test_rejects_merged_components(self):
+        # {0, 2} is a union of two components of P_5 - {1, 3}
+        with pytest.raises(AssertionError, match="not the components"):
+            CutWitness(frozenset({1, 3}), ({0, 2}, {4})).check(path(5))
+
+    def test_rejects_cut_outside_graph(self):
+        with pytest.raises(AssertionError, match="99 is not a vertex"):
+            CutWitness(frozenset({1, 99}), ({0}, {2})).check(path(3))
+
 
 class TestSubsetRoute:
     def test_agrees_with_flow_route(self):

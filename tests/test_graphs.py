@@ -170,6 +170,12 @@ class TestShiuGraph:
             shiu_graph(5, 5)
 
 
+class TestGraph:
+    def test_list_rows_are_stored_as_tuple(self):
+        g, h = Graph(2, [2, 1]), Graph(2, (2, 1))
+        assert g == h and hash(g) == hash(h) and g.rows == (2, 1)
+
+
 class TestQueries:
     def test_min_degree_complete(self):
         assert min_degree(complete(5)) == 4

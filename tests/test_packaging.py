@@ -1,6 +1,9 @@
-"""Console scripts declared in pyproject.toml point at importable callables."""
+"""Packaging: console scripts resolve, and the runtime needs only numpy."""
 
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,3 +20,16 @@ def test_scripts_resolve():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), name
+
+
+def test_runtime_needs_no_test_extras():
+    # networkx, sympy and hypothesis are test-only: every module imports
+    # with each of them blocked
+    code = ("import sys\n"
+            "for name in ('networkx', 'sympy', 'hypothesis'):\n"
+            "    sys.modules[name] = None\n"
+            "import specrad.connectivity, specrad.exactroots, specrad.graphs, "
+            "specrad.quotient, specrad.spectral\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PYPROJECT.parent / "src"), os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -1,6 +1,7 @@
 """Quotient matrices, the closed-form cubic, interlacing, lifting."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from specrad.graphs import ExtremalParams, complete, extremal_graph, path
 from specrad.quotient import (
     CubicCoeffs,
     Partition,
+    _symmetrized,
     canonical_three_blocks,
     check_interlacing,
     cubic_coefficients,
@@ -70,6 +72,10 @@ class TestPartition:
         with pytest.raises(ValueError, match="empty"):
             Partition(((0, 1), ())).validate(2)
 
+    def test_validate_rejects_non_int_vertex(self):
+        with pytest.raises(ValueError, match="out of range"):
+            Partition(((0.5,), (1,))).validate(2)
+
 
 class TestEquitable:
     def test_single_block_of_complete(self):
@@ -123,7 +129,9 @@ class TestQuotientMatrix:
             g = random_graph(rng, n)
             pt = random_partition(rng, n, rng.randint(1, min(4, n)))
             qm = quotient_matrix(g, pt)
-            m = qm.m
+            sym = _symmetrized(qm)[0]
+            assert np.array_equal(sym, sym.T)  # bit for bit
+            m = len(qm.sizes)
             for i in range(m):
                 for j in range(m):
                     if i != j:
@@ -166,14 +174,18 @@ class TestCubicCoefficients:
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
             cubic_coefficients(ExtremalParams(5, 4, 4))
+        with pytest.raises(ValueError, match="k >= 1"):
+            canonical_three_blocks(ExtremalParams(5, 0, 2))
 
 
 class TestLargestCubicRoot:
     def test_723(self):
         c = CubicCoeffs(-4, -5, 12)
-        # sign change bracketed by hand: p(4.5) = -0.375, p(4.52) = +0.023808
-        assert c.evaluate(4.5) == pytest.approx(-0.375)
-        assert c.evaluate(4.52) == pytest.approx(0.023808, abs=1e-9)
+        # sign change bracketed by hand: p(4.5) = -3/8, p(4.52) = +372/15625
+        def p(x):
+            return sum(a * x**i for i, a in enumerate(c.as_poly()))
+        assert p(Fraction(9, 2)) == Fraction(-3, 8)
+        assert p(Fraction(113, 25)) == Fraction(372, 15625)
         assert largest_cubic_root(c) == pytest.approx(RHO_723, abs=1e-12)
 
     def test_411_matches_paw_rho(self):

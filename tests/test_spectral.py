@@ -221,6 +221,15 @@ class TestPerron:
         with pytest.raises(AssertionError, match="non-positive"):
             perron(PAW)
 
+    def test_gate_rejects_non_finite(self):
+        a = complete(3).adjacency_matrix()
+        unit = np.ones(3) / math.sqrt(3)
+        for rho, vec, why in ((math.nan, np.full(3, math.nan), "radius is not finite"),
+                              (math.inf, unit, "radius is not finite"),
+                              (2.0, np.array([math.nan, 1.0, 1.0]), "not unit length")):
+            with pytest.raises(AssertionError, match=why):
+                spectral.PerronPair(rho, vec).check(a)
+
     @pytest.mark.parametrize("n", [2, 5, 9])
     def test_residual_on_complete(self, n):
         a = complete(n).adjacency_matrix()
@@ -342,6 +351,11 @@ class TestJacobi:
             full_spectrum(np.array([[0.0, 1.0], [0.5, 0.0]]))
         with pytest.raises(ValueError, match="square"):
             full_spectrum(np.zeros((2, 3)))
+
+    def test_rejects_non_finite(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                full_spectrum([[bad, 0.0], [0.0, 0.0]])
 
     def test_vs_numpy_oracle(self):
         rng = random.Random(8)
