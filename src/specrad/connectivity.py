@@ -10,6 +10,12 @@ a flow is one list ``pred`` (the vertex feeding each vertex's unit, or
 -1), from which the residual network follows.  Removal witnesses are
 recovered from the final residual reachability.
 
+The flow runs on G - U, where U is the set of universal vertices:
+kappa(G) = |U| + kappa(G - U) for non-complete G, since a universal
+vertex outside a separator S would connect all of G - S.  On a clique
+join K_k + (K_a u K_b), G - U is disconnected, so U is the cut and no
+flow runs at all.
+
 :func:`connectivity_at_most` decides kappa(G) <= k on k-sets alone: for
 k <= n-2, a smaller separator extends to one of exactly k vertices (keep
 one vertex in each of two components), so it costs C(n, k) bitset BFS
@@ -22,7 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import _component_mask, _components_within, components, is_connected
+from .graphs import (
+    _component_mask,
+    _components_within,
+    _mask_vertices,
+    components,
+    is_connected,
+)
 
 __all__ = [
     "CutWitness",
@@ -141,16 +153,31 @@ def vertex_connectivity(g):
     Returns (n-1, None) for complete graphs (no cut exists; None is the
     complete-graph marker), (0, witness-with-empty-cut) for disconnected
     input, and otherwise (kappa, witness) with |witness.cut| = kappa.
+
+    The set U of universal vertices lies in every separator, so
+    kappa(G) = |U| + kappa(G - U) for non-complete G: a universal vertex
+    outside S would connect all of G - S.  When G - U is disconnected
+    (every clique join K_k + (K_a u K_b)), U is the cut and no flow runs;
+    otherwise the max-flow sweep runs on G - U and U joins its cut.
     """
     n = g.n
-    if g.is_complete():
+    rows = g.rows
+    universal = frozenset(v for v in range(n) if rows[v].bit_count() == n - 1)
+    if len(universal) == n:
         return n - 1, None
     if not is_connected(g):
         return 0, CutWitness(frozenset(), tuple(components(g)))
-    nbrs = [g.neighbors(v) for v in range(n)]
+    full = (1 << n) - 1
+    rest = full & ~sum(1 << v for v in universal)
+    # with U empty, G - U = G, which the test above found connected
+    if universal and _component_mask(rows, rest, rest & -rest) != rest:
+        return len(universal), CutWitness(universal, tuple(_components_within(rows, rest)))
+    # the minimum-degree vertex and its non-neighbours are the same in
+    # G and G - U, so the pair family needs only U dropped from the lists
+    nbrs = [list(_mask_vertices(r & rest)) for r in rows]
     best = n - 1
     best_reach = None
-    for s, t in _pair_family(g.rows, nbrs):
+    for s, t in _pair_family(rows, nbrs):
         # a run that returns flow < best ran to completion, so its
         # residual reachability gives a minimum s-t cut
         flow, reach = _split_maxflow(nbrs, s, t, cap_limit=best)
@@ -162,8 +189,9 @@ def vertex_connectivity(g):
     cut = frozenset(v for v in range(n)
                     if best_reach[2 * v] >= 0 and best_reach[2 * v + 1] < 0)
     assert len(cut) == best, "residual cut size must equal the max flow"
-    rest = ((1 << n) - 1) & ~sum(1 << v for v in cut)
-    return best, CutWitness(cut, tuple(_components_within(g.rows, rest)))
+    cut |= universal
+    rest = full & ~sum(1 << v for v in cut)
+    return len(cut), CutWitness(cut, tuple(_components_within(rows, rest)))
 
 
 def connectivity_at_most(g, k):

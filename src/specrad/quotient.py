@@ -128,8 +128,8 @@ def two_clique_quotient(k, n1, n2):
     quotient_matrix(extremal_graph(p), canonical_three_blocks(p)),
     because that partition is equitable.
     """
-    if k < 1 or n1 < 1 or n2 < 1:
-        raise ValueError("two_clique_quotient needs k, n1, n2 >= 1")
+    if not all(isinstance(m, int) and m >= 1 for m in (k, n1, n2)):
+        raise ValueError("two_clique_quotient needs integers k, n1, n2 >= 1")
     return QuotientMatrix((k, n1, n2),
                           ((k * (k - 1) // 2, k * n1, k * n2),
                            (k * n1, n1 * (n1 - 1) // 2, 0),

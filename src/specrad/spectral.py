@@ -130,8 +130,12 @@ def perron_rho_batch(mats):
     symmetric matrix is its spectral radius.  LAPACK runs on each matrix
     on its own, so per-graph results do not depend on how the batch was
     grouped -- the property the census relies on for shard determinism.
+    Entries must be finite: LAPACK turns NaN into a plausible radius.
     """
-    return np.linalg.eigvalsh(np.asarray(mats, dtype=float))[:, -1]
+    a = np.asarray(mats, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError("perron_rho_batch needs finite entries")
+    return np.linalg.eigvalsh(a)[:, -1]
 
 
 def full_spectrum(m):

@@ -15,6 +15,7 @@ from specrad.graphs import (
     disjoint_union,
     extremal_graph,
     from_edges,
+    join,
     min_degree,
     path,
 )
@@ -110,7 +111,7 @@ class TestVertexConnectivity:
             checked += 1
         assert checked == 996
 
-    @pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.7, 0.9])
     def test_vs_networkx_family_sizes(self, p):
         # the orders of the family workload, past the brute-force reach
         rng = random.Random(int(p * 10))
@@ -122,6 +123,29 @@ class TestVertexConnectivity:
                 if w is not None:
                     assert len(w.cut) == k
                     w.check(g)
+
+    def test_join_cut_holds_the_universal_vertices(self):
+        # in K_j + H the j join vertices are universal, so every minimum
+        # cut contains them and kappa = j + kappa(H) for non-complete H
+        rng = random.Random(23)
+        kinds = set()
+        for p in (0.2, 0.6, 1.0):
+            for _ in range(20):
+                h = random_graph(rng, rng.randint(2, 10), p)
+                kind = ("complete" if h.is_complete()
+                        else "connected" if nx.is_connected(to_networkx(h))
+                        else "disconnected")
+                kinds.add(kind)
+                for j in range(1, 5):
+                    g = join(complete(j), h)
+                    k, w = vertex_connectivity(g)
+                    if kind == "complete":
+                        assert (k, w) == (g.n - 1, None)
+                        continue
+                    assert k == j + nx.node_connectivity(to_networkx(h))
+                    assert set(range(j)) <= w.cut
+                    w.check(g)
+        assert kinds == {"complete", "connected", "disconnected"}
 
     def test_whitney_bound(self):
         rng = random.Random(22)

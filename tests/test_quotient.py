@@ -176,6 +176,9 @@ class TestCubicCoefficients:
             cubic_coefficients(ExtremalParams(5, 4, 4))
         with pytest.raises(ValueError, match="k >= 1"):
             canonical_three_blocks(ExtremalParams(5, 0, 2))
+        for sizes in ((0, 2, 2), (1.5, 2, 2), (2, 2.0, 2)):
+            with pytest.raises(ValueError, match="integers k, n1, n2 >= 1"):
+                two_clique_quotient(*sizes)
 
 
 class TestLargestCubicRoot:

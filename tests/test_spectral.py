@@ -326,6 +326,11 @@ class TestBatch:
                                 perron_rho_batch(mats[17:])])
         assert np.array_equal(whole, split)
 
+    def test_rejects_non_finite(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                perron_rho_batch(np.array([[[bad, 0.0], [0.0, 0.0]]]))
+
 
 class TestJacobi:
     """full_spectrum (LAPACK) against the Jacobi reference and known spectra."""
