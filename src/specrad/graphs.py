@@ -215,6 +215,8 @@ class ExtremalParams:
     delta: int
 
     def validate(self):
+        if not all(isinstance(x, int) for x in (self.n, self.k, self.delta)):
+            raise ValueError(f"invalid params {self}: n, k and delta must be integers")
         if self.k < 1:
             raise ValueError(f"invalid params {self}: need k >= 1")
         if self.delta < self.k:

@@ -5,10 +5,13 @@
   connected graph (checked by :class:`PerronPair`), the spectral radii
   of a batch, and whole spectra;
 * :func:`int_charpoly` / :func:`exact_compare_rho` -- exact integer
-  characteristic polynomials (modular Faddeev-LeVerrier, rebuilt by CRT
-  from primes whose product covers a proven coefficient bound) with
-  exact largest-root comparison, used to resolve census ties where float
-  equality proves nothing.  Float eigenvalues only seed the brackets
+  characteristic polynomials with exact largest-root comparison, used to
+  resolve census ties where float equality proves nothing.  The traces
+  of A, A^2, ..., A^n come from float64 matmuls modulo word-size primes,
+  reduced only when an integer bound says a product could reach 2^53, so
+  every partial sum and trace is an exact float; Newton's identities
+  then run modulo the product M of the primes, and M exceeds twice a
+  proven coefficient bound B.  Float eigenvalues only seed the brackets
   that :mod:`specrad.exactroots` certifies with Descartes' rule of signs.
 """
 
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,19 +157,27 @@ def full_spectrum(m):
     return tuple(float(v) for v in np.linalg.eigvalsh((a + a.T) / 2.0))
 
 
-# Faddeev-LeVerrier runs modulo these primes, both below 2^46.  Residues
-# stay below 2p and a row of A has at most n <= 32 ones, so every entry of
-# A @ M, and every trace, is an integer below 2 * 32 * 2^46 = 2^52: float64
-# holds it exactly, whatever order BLAS sums in.  Their product, above 2^91,
-# exceeds twice charpoly_bound(32, 32 * 32) (below 2^87), so CRT recovers
-# every coefficient of every 0/1 matrix of order n <= 32.
-CHARPOLY_PRIMES = (2**46 - 21, 2**46 - 57)
+# int_charpoly reads the traces of A, A^2, ..., A^n modulo these primes, at
+# most 2^30.  A stored power is reduced (np.fmod) before the next product
+# could reach 2^53, and a reduced power has entries below max(p); a row of
+# A holds at most n <= 32 ones, so the next power's entries and its trace
+# stay below 32 * 32 * 2^30 = 2^40 < 2^53: float64 holds every partial sum
+# exactly, whatever order BLAS sums in.  All three multiply to M > 2^89,
+# above twice charpoly_bound(32, 32 * 32) (below 2^87), so Newton's
+# identities modulo M give every coefficient of every 0/1 matrix of order
+# n <= 32; every prime exceeds 32, so each divisor k <= n is a unit mod M.
+CHARPOLY_PRIMES = (2**30 - 35, 2**30 - 41, 2**30 - 83)
 
 
 def _crt_table(primes):
-    """(modulus, weights): x = sum(r_i * w_i) mod modulus has x = r_i mod p_i."""
+    """(M, weights, inverses) for the product M of `primes`.
+
+    x = sum(r_i * w_i) mod M has x = r_i mod p_i, and inverses[k] is
+    1/k mod M for 1 <= k <= 32 (inverses[0] is unused).
+    """
     modulus = math.prod(primes)
-    return modulus, tuple(modulus // p * pow(modulus // p, -1, p) for p in primes)
+    weights = tuple(modulus // p * pow(modulus // p, -1, p) for p in primes)
+    return modulus, weights, (0,) + tuple(pow(k, -1, modulus) for k in range(1, 33))
 
 
 _CRT = [_crt_table(CHARPOLY_PRIMES[:i]) for i in range(1, len(CHARPOLY_PRIMES) + 1)]
@@ -180,50 +192,74 @@ def charpoly_bound(n, ones):
     product of sqrt(d_i), i in S, with d_i the ones in row i; summed over
     S that is e_k(sqrt(d)), which Maclaurin's inequality and concavity
     bound by C(n, k) (ones / n)^(k/2).  No symmetry is assumed.
+
+    B is isqrt(T_k) + 1 for the largest term T_k = C(n, k)^2 ones^k / n^k
+    (floored).  The ratio T_(k+1) / T_k = ((n - k) / (k + 1))^2 ones / n
+    decreases in k, so the terms rise while (n - k)^2 ones >= (k + 1)^2 n
+    and fall after: one integer test per step finds the peak, and only
+    that term is computed.
     """
-    return max(math.isqrt(math.comb(n, k) ** 2 * ones**k // n**k) + 1
-               for k in range(n + 1))
+    k = 0
+    while k < n and (n - k) ** 2 * ones >= (k + 1) ** 2 * n:
+        k += 1
+    return math.isqrt(math.comb(n, k) ** 2 * ones**k // n**k) + 1
 
 
 def int_charpoly(g):
     """det(xI - A(g)) with exact integer coefficients.
 
-    Modular Faddeev-LeVerrier: the recurrence M <- A M + c I runs modulo
-    one or both CHARPOLY_PRIMES at once, as one float64 matmul per step
-    on the primes stacked side by side, reduced with np.fmod.  The trace
-    division by the step index is a modular inverse (every prime exceeds
-    n).  Each coefficient is rebuilt by CRT as the symmetric residue,
-    using just enough primes for their product to exceed twice
-    charpoly_bound(n, ones in A).  Both invariants -- float
-    intermediates below 2^53, prime product above 2B -- are asserted.
+    Power traces and Newton's identities.  The powers A, A^2, ..., A^n
+    are float64 matmuls, one per power, with the primes in use side by
+    side in the columns.  A power is reduced with np.fmod only when an
+    integer bound on its entries, times n and the largest row sum of A,
+    says the next power or its trace could reach 2^53.  One einsum reads
+    every trace; the traces are rebuilt by CRT modulo the product M of
+    the primes, and k c_k = -sum(c_(k-i) t_i, i = 1..k) runs modulo M
+    (every prime exceeds n, so k is a unit).  Just enough primes are used
+    for M to exceed twice charpoly_bound(n, ones in A), so the symmetric
+    residue of each c_k is the coefficient itself.  The two exactness
+    invariants -- float partial sums and traces below 2^53, M above 2B --
+    are asserted, the first as n * dmax * max(p) < 2^53, which makes the
+    product after a reduction exact.  Newton's identities need no
+    symmetry: asymmetric and looped rows are taken as they are.
     """
     n = g.n
     if n > 32:
         raise ValueError(f"int_charpoly capped at n <= 32 (got {n})")
     a = g.adjacency_matrix()
-    bound = charpoly_bound(n, int(a.sum()))
-    used = next((i for i, (mod, _) in enumerate(_CRT, 1) if mod > 2 * bound), len(_CRT))
+    row_sums = a.sum(axis=1)
+    dmax = int(row_sums.max())
+    bound = charpoly_bound(n, int(row_sums.sum()))
+    used = next((i for i, (mod, _, _) in enumerate(_CRT, 1) if mod > 2 * bound), len(_CRT))
     primes = CHARPOLY_PRIMES[:used]
-    modulus, weights = _CRT[used - 1]
+    modulus, weights, inverses = _CRT[used - 1]
+    pmax = max(primes)
     assert modulus > 2 * bound, "CRT modulus must exceed twice the coefficient bound"
-    assert 2 * n * max(primes) < 2**53, "float intermediates must stay exact"
-    pv = np.array(primes, dtype=float)
-    # row i of m holds M[i, j] modulo primes[t] at column j * used + t
-    m = np.zeros((n, n * used))
-    m.reshape(n * n, used)[:: n + 1] = 1.0
-    residues = []  # per step, the coefficient of x^(n-step) modulo each prime
-    for step in range(1, n + 1):
-        m = np.fmod((a @ m).reshape(n * n, used), pv)
-        diag = m[:: n + 1]  # a view: the diagonal entries, one column per prime
-        c = [-int(t) * pow(step, -1, p) % p for t, p in zip(diag.sum(axis=0).tolist(), primes)]
-        residues.append(c)
-        diag += c
-        m = m.reshape(n, n * used)
-    coeffs = [1]
-    for c in residues:
-        x = sum(r * w for r, w in zip(c, weights)) % modulus
-        coeffs.append(x - modulus if 2 * x > modulus else x)
-    return IntCharPoly(tuple(reversed(coeffs)))
+    assert n * dmax * pmax < 2**53, "a reduced power must multiply exactly"
+    pv = np.tile(np.array(primes, dtype=float), n)  # the prime of each column
+    # pw[k - 1] is A^k with the primes side by side: pw4[k - 1, i, j, t] is
+    # (A^k)[i, j], modulo primes[t] once reduced
+    pw = np.empty((n, n, n * used))
+    pw4 = pw.reshape(n, n, n, used)
+    pw4[0] = a[:, :, None]
+    top = 2  # every entry of pw[k - 1] is below top
+    for k in range(1, n):
+        if n * dmax * top >= 2**53:  # A^(k+1) or its trace could be inexact
+            np.fmod(pw[k - 1], pv, out=pw[k - 1])
+            top = pmax
+        np.matmul(a, pw[k - 1], out=pw[k])
+        top *= dmax
+    # every trace is an integer below 2^53, so int64 holds it; CRT takes any
+    # representative of each residue
+    traces = np.einsum("kiit->kt", pw4).astype(np.int64).tolist()
+    t = [sum(map(operator.mul, rs, weights)) % modulus for rs in traces]
+    c = [1]  # c[k] is the coefficient of x^(n-k), modulo M
+    for k in range(1, n + 1):
+        s = sum(map(operator.mul, c, reversed(t[:k])))
+        c.append(-s * inverses[k] % modulus)
+    # a list, not a generator: on CPython 3.11 a generator expression here
+    # made a long benchmark process's peak RSS grow ~4 KB per 80 calls
+    return IntCharPoly(tuple([x - modulus if 2 * x > modulus else x for x in reversed(c)]))
 
 
 def exact_compare_rho(g, h):

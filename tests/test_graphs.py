@@ -142,6 +142,13 @@ class TestExtremalGraph:
         with pytest.raises(ValueError, match="k >= 1"):
             extremal_graph(ExtremalParams(6, 0, 2))
 
+    def test_non_integer_params_rejected(self):
+        for p in (ExtremalParams(7.5, 2, 3), ExtremalParams(7, 2.0, 3),
+                  ExtremalParams(7, 2, "3")):
+            assert not p.is_valid
+            with pytest.raises(ValueError, match="must be integers"):
+                extremal_graph(p)
+
     def test_realizes_flag(self):
         assert ExtremalParams(7, 2, 3).realizes_min_degree
         assert not ExtremalParams(7, 1, 4).realizes_min_degree  # B-degree 2 < 4

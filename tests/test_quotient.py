@@ -180,6 +180,14 @@ class TestCubicCoefficients:
             with pytest.raises(ValueError, match="integers k, n1, n2 >= 1"):
                 two_clique_quotient(*sizes)
 
+    def test_non_integer_params_rejected(self):
+        # a float n gave float "exact" coefficients (-4.5, -5.0, 14.5)
+        for p in (ExtremalParams(7.5, 2, 3), ExtremalParams(7, 2, 3.0)):
+            with pytest.raises(ValueError, match="must be integers"):
+                cubic_coefficients(p)
+            with pytest.raises(ValueError, match="must be integers"):
+                canonical_three_blocks(p)
+
 
 class TestLargestCubicRoot:
     def test_723(self):

@@ -5,7 +5,8 @@ numpy, kept here, is the independent reference they are checked
 against.  Two oracles check the exact characteristic polynomial: a
 cofactor-expansion determinant over integer polynomials for small
 orders, and the integral Faddeev-LeVerrier recurrence in plain Python
-integers for every order up to 32.
+integers for every order up to 32 -- a route independent of the power
+traces and Newton's identities that int_charpoly uses.
 """
 
 import math
@@ -121,6 +122,21 @@ def faddeev_leverrier_charpoly(g):
             am[i][i] += q
         m = am
     return tuple(reversed(cs))
+
+
+def _charpoly_and_reductions(monkeypatch, g):
+    """int_charpoly(g).coeffs and the number of np.fmod calls it made."""
+    fmod = np.fmod
+    calls = []
+
+    def counting_fmod(*args, **kwargs):
+        calls.append(1)
+        return fmod(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "fmod", counting_fmod)
+        coeffs = int_charpoly(g).coeffs
+    return coeffs, len(calls)
 
 
 # -- reference: cyclic Jacobi rotations --------------------------------------
@@ -450,16 +466,52 @@ class TestIntCharpoly:
             g = Graph(n, rows)
             assert int_charpoly(g).coeffs == faddeev_leverrier_charpoly(g)
 
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_against_reference_any_rows(self, data):
+        # arbitrary row bitmasks: asymmetric and looped rows included
+        n = data.draw(st.integers(1, 32), label="n")
+        rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n),
+                         label="rows")
+        g = Graph(n, rows)
+        assert int_charpoly(g).coeffs == faddeev_leverrier_charpoly(g)
+
+    def test_reductions_keep_order_32_exact(self, monkeypatch):
+        rng = random.Random(19)
+        ones = Graph(32, ((1 << 32) - 1,) * 32)
+        for g in (ones, complete(32), random_graph(rng, 32, 0.9)):
+            coeffs, reductions = _charpoly_and_reductions(monkeypatch, g)
+            assert reductions > 0
+            assert coeffs == faddeev_leverrier_charpoly(g)
+
+    def test_sparse_order_12_needs_no_reduction(self, monkeypatch):
+        # small row sums keep 12 * dmax * 2 * dmax^11, the bound on the
+        # last product's trace, below 2^53 without any reduction
+        g = random_graph(random.Random(20), 12, 0.25)
+        coeffs, reductions = _charpoly_and_reductions(monkeypatch, g)
+        assert reductions == 0
+        assert coeffs == faddeev_leverrier_charpoly(g)
+
     def test_prime_constants(self):
         assert len(set(CHARPOLY_PRIMES)) == len(CHARPOLY_PRIMES)
         for p in CHARPOLY_PRIMES:
             assert _is_prime(p)
-            assert p > 32  # every step index has an inverse
-            # residues below 2p, 32 ones per row: A @ M stays exact in float64
-            assert 2 * 32 * p < 2**53
+            assert p > 32  # every Newton divisor k <= n has an inverse modulo M
+        # a reduced power (entries below max p) times rows of at most 32 ones,
+        # and the trace of that product, stay exact in float64
+        assert 32 * 32 * max(CHARPOLY_PRIMES) < 2**53
         # K_32, and an all-ones 32 x 32 matrix (the most a malformed Graph can hold)
         assert math.prod(CHARPOLY_PRIMES) > 2 * charpoly_bound(32, 32 * 31)
         assert math.prod(CHARPOLY_PRIMES) > 2 * charpoly_bound(32, 32 * 32)
+
+    def test_bound_is_the_largest_term(self):
+        # the maximum over every k of isqrt(C(n, k)^2 ones^k // n^k) + 1
+        def max_over_terms(n, ones):
+            return max(math.isqrt(math.comb(n, k) ** 2 * ones**k // n**k) + 1
+                       for k in range(n + 1))
+        for n in range(1, 33):
+            for ones in range(n * n + 1):
+                assert charpoly_bound(n, ones) == max_over_terms(n, ones), (n, ones)
 
     def test_bound_covers_coefficients(self):
         rng = random.Random(18)
