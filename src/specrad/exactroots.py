@@ -343,7 +343,8 @@ def isolate_largest_root(p, seed=None):
 def largest_real_root(p, abs_tol=1e-12):
     """Largest real root of p as a float, within abs_tol (finite, > 0).
 
-    The largest real part among numpy's roots of p is the seed.  When the
+    The largest real part among numpy's roots of p is the seed; a
+    coefficient too large for a float leaves Sturm with no seed.  When the
     integer m nearest to it has p(m) = 0 and V(m) = 0, Descartes' rule
     proves m the largest root, exactly (this covers repeated roots on
     top, which no bracket certifies).  Otherwise the seed's bracket (see
@@ -353,7 +354,10 @@ def largest_real_root(p, abs_tol=1e-12):
     if not (math.isfinite(abs_tol) and abs_tol > 0):
         raise ValueError(f"abs_tol must be finite and positive, got {abs_tol}")
     p = normalize(p)
-    roots = np.roots(np.array(p[::-1], dtype=float))
+    try:
+        roots = np.roots(np.array(p[::-1], dtype=float))
+    except OverflowError:  # a coefficient beyond float range: no seed
+        roots = ()
     seed = float(roots.real.max()) if len(roots) else None
     if seed is not None and math.isfinite(seed):
         m = round(seed)

@@ -13,6 +13,10 @@
   then run modulo the product M of the primes, and M exceeds twice a
   proven coefficient bound B.  Float eigenvalues only seed the brackets
   that :mod:`specrad.exactroots` certifies with Descartes' rule of signs.
+  Before any characteristic polynomial, :func:`exact_compare_rho`
+  screens graphs whose degree sequences differ: each float Perron
+  vector, rounded to positive integers, gives an exact Collatz-Wielandt
+  enclosure of the radius, and disjoint enclosures settle the order.
 """
 
 from __future__ import annotations
@@ -262,25 +266,76 @@ def int_charpoly(g):
     return IntCharPoly(tuple([x - modulus if 2 * x > modulus else x for x in reversed(c)]))
 
 
+def _below(r, s):
+    """r < s for rationals held as (num, den) pairs with den > 0."""
+    return r[0] * s[1] < s[0] * r[1]
+
+
+def _enclosure(a, vec):
+    """Collatz-Wielandt enclosure of rho(a), or None when vec rounds below 1 somewhere.
+
+    x = rint(vec * 2^52) must have every entry >= 1.  For a nonnegative
+    matrix and a positive x, min (Ax)_i / x_i <= rho <= max (Ax)_i / x_i
+    (Collatz 1942, Wielandt 1950), with no symmetry or irreducibility
+    needed.  Returns ((lo_num, lo_den), (hi_num, hi_den)), both exact,
+    picked by integer cross-multiplication (:func:`_below`).
+    """
+    x = np.rint(vec * 2.0**52)
+    if not x.min() >= 1:  # NaN fails too
+        return None
+    # |vec_i| <= 1 up to rounding, so x_i <= 2^53; a 0/1 row has at most
+    # 32 ones, so every (Ax)_i < 2^58 and int64 holds Ax exactly
+    assert a.shape[0] <= 32 and x.max() <= 2**53, "Ax must fit int64"
+    xi = x.astype(np.int64)
+    ax = (a.astype(np.int64) @ xi).tolist()
+    ratios = list(zip(ax, xi.tolist()))
+    lo = hi = ratios[0]
+    for r in ratios:
+        if _below(r, lo):
+            lo = r
+        if _below(hi, r):
+            hi = r
+    return lo, hi
+
+
 def exact_compare_rho(g, h):
     """Exact ordering of the spectral radii of two connected graphs.
 
-    Identical characteristic polynomials give EQUAL_POLY before any
-    float work.  Otherwise the largest eigvalsh eigenvalue of each
-    adjacency matrix seeds a bracket that is certified exactly (see
-    :func:`exactroots.compare_largest_roots`); the verdict rests on
-    integer sign computations only -- never on float proximity.
+    Graphs whose sorted degree sequences differ are screened first: the
+    top eigh pair of each adjacency matrix gives an exact Collatz-Wielandt
+    enclosure of its radius (see :func:`_enclosure`), and disjoint
+    enclosures decide LESS or GREATER with no characteristic polynomial.
+    Equal degree sequences (likely relabelings, which no enclosure can
+    separate) skip the screen; this only orders the work.  Otherwise
+    identical characteristic polynomials give EQUAL_POLY, and else the
+    top eigenvalue of each matrix -- from the screen, when it ran -- seeds
+    a bracket that is certified exactly (see
+    :func:`exactroots.compare_largest_roots`).  Every verdict rests on
+    integer arithmetic only -- never on float proximity.
     """
     for gr in (g, h):
         if gr.n > 32:
             raise ValueError("exact_compare_rho capped at n <= 32")
         if not is_connected(gr):
             raise ValueError("exact_compare_rho requires connected graphs")
+    tops = None
+    if sorted(g.degrees()) != sorted(h.degrees()):
+        mats = [gr.adjacency_matrix() for gr in (g, h)]
+        tops = [_top_pair(a) for a in mats]
+        eg, eh = (_enclosure(a, v) for a, (_, v) in zip(mats, tops))
+        if eg and eh:
+            if _below(eg[1], eh[0]):
+                return Ordering.LESS
+            if _below(eh[1], eg[0]):
+                return Ordering.GREATER
     p = int_charpoly(g).coeffs
     q = int_charpoly(h).coeffs
     if p == q:
         return Ordering.EQUAL_POLY
-    seeds = [float(np.linalg.eigvalsh(gr.adjacency_matrix())[-1]) for gr in (g, h)]
+    if tops is None:
+        seeds = [float(np.linalg.eigvalsh(gr.adjacency_matrix())[-1]) for gr in (g, h)]
+    else:
+        seeds = [rho for rho, _ in tops]
     c = exactroots.compare_largest_roots(p, q, seeds=seeds)
     if c < 0:
         return Ordering.LESS

@@ -188,6 +188,13 @@ def test_largest_real_root_double_root_on_top():
     assert largest_real_root((2, -3, 0, 1)) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_largest_real_root_beyond_float_range():
+    # numpy cannot take these coefficients as floats; Sturm isolates unseeded
+    assert largest_real_root((-2 * 10**400, 10**400)) == pytest.approx(2.0, abs=1e-12)
+    # (x - 3)(x^2 + 10^400)
+    assert largest_real_root((-3 * 10**400, 10**400, -3, 1)) == pytest.approx(3.0, abs=1e-12)
+
+
 def test_no_real_root_raises():
     with pytest.raises(ValueError):
         isolate_largest_root((1, 0, 1))  # x^2 + 1

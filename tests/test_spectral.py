@@ -12,6 +12,7 @@ traces and Newton's identities that int_charpoly uses.
 import math
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -595,6 +596,78 @@ class TestExactCompare:
                                                 int_charpoly(h).coeffs) == 1
 
 
+def _assert_encloses_rho(g):
+    """The screen's enclosure of rho(g) holds, checked exactly: the largest
+    root of den * x - num is num / den, compared with that of int_charpoly."""
+    a = g.adjacency_matrix()
+    rho, vec = spectral._top_pair(a)
+    enclosure = spectral._enclosure(a, vec)
+    assert enclosure is not None
+    p = int_charpoly(g).coeffs
+    (lo_num, lo_den), (hi_num, hi_den) = enclosure
+    assert exactroots.compare_largest_roots(p, (-lo_num, lo_den), seeds=(rho, lo_num / lo_den)) >= 0
+    assert exactroots.compare_largest_roots(p, (-hi_num, hi_den), seeds=(rho, hi_num / hi_den)) <= 0
+
+
+@pytest.fixture
+def charpoly_calls(monkeypatch):
+    """Counts the int_charpoly calls that exact_compare_rho makes."""
+    calls = []
+    real = spectral.int_charpoly
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(spectral, "int_charpoly", counting)
+    return calls
+
+
+class TestEnclosure:
+    """The Collatz-Wielandt screen that exact_compare_rho runs first."""
+
+    def test_contains_rho_on_atlas(self):
+        checked = 0
+        for h in nx.graph_atlas_g():
+            if h.number_of_nodes() == 0 or not nx.is_connected(h):
+                continue
+            _assert_encloses_rho(from_edges(h.number_of_nodes(), list(h.edges())))
+            checked += 1
+        assert checked == 996  # every connected graph on 1-7 vertices
+
+    def test_separated_pair_builds_no_charpoly(self, charpoly_calls):
+        g = extremal_graph(ExtremalParams(14, 3, 5))
+        h = from_edges(14, [e for e in g.edges() if e != max(g.edges())])
+        assert sorted(g.degrees()) != sorted(h.degrees())
+        assert exact_compare_rho(g, h) is Ordering.GREATER
+        assert exact_compare_rho(h, g) is Ordering.LESS
+        assert charpoly_calls == []
+
+    def test_relabeled_pair_skips_the_screen(self, charpoly_calls, monkeypatch):
+        monkeypatch.setattr(spectral, "_enclosure", None)  # calling it would raise
+        g = extremal_graph(ExtremalParams(12, 2, 4))
+        perm = random.Random(21).sample(range(12), 12)
+        h = from_edges(12, [(perm[u], perm[v]) for u, v in g.edges()])
+        assert exact_compare_rho(g, h) is Ordering.EQUAL_POLY
+        assert charpoly_calls == [g, h]
+
+    def test_equal_radii_fall_back(self, charpoly_calls, monkeypatch):
+        # C4 and C5 both have rho = 2: the enclosures touch, so the charpolys decide
+        screens = []
+        real = spectral._enclosure
+        monkeypatch.setattr(spectral, "_enclosure", lambda a, v: screens.append(a) or real(a, v))
+        assert exact_compare_rho(cycle(4), cycle(5)) is Ordering.EQUAL_RHO
+        assert len(screens) == 2
+        assert len(charpoly_calls) == 2
+
+    def test_entry_rounding_below_one_gives_none(self):
+        a = complete(3).adjacency_matrix()
+        assert spectral._enclosure(a, np.array([0.5, 0.5, 0.1])) is not None
+        assert spectral._enclosure(a, np.array([0.7, 0.7, 2.0**-54])) is None
+        assert spectral._enclosure(a, np.array([0.7, 0.7, 0.0])) is None
+        assert spectral._enclosure(a, np.array([0.7, 0.7, -0.1])) is None
+
+
 @st.composite
 def connected_graphs(draw, max_n=12):
     """A random spanning tree (parent of i drawn from 0..i-1) plus random extra edges."""
@@ -616,3 +689,9 @@ def test_exact_compare_agrees_with_unseeded_sturm(g, h):
     else:
         want = {-1: Ordering.LESS, 0: Ordering.EQUAL_RHO, 1: Ordering.GREATER}
         assert got is want[exactroots.compare_largest_roots(p, q)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(connected_graphs(max_n=16))
+def test_enclosure_contains_rho(g):
+    _assert_encloses_rho(g)
