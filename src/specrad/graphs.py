@@ -1,9 +1,10 @@
 """Immutable simple graphs over dense bitset adjacency rows.
 
 Vertices are 0..n-1.  A graph stores one Python integer per vertex whose
-bit j is set iff ij is an edge.  Integers double as vertex sets, which
-keeps the enumeration / connectivity inner loops allocation-free, and a
-graph is hashable so it can be deduplicated directly.
+bit j is set iff ij is an edge.  Integers double as vertex sets, so the
+component searches and cut checks of the connectivity layer work on masks
+without building per-vertex containers, and a graph is hashable so it can
+be deduplicated directly.
 
 The module also provides the constructors for the clique-join families
 studied here (``extremal_graph``, ``shiu_graph``) and the graph6 codec.
@@ -18,7 +19,6 @@ import numpy as np
 __all__ = [
     "Graph",
     "ExtremalParams",
-    "edge_slots",
     "complete",
     "cycle",
     "path",
@@ -34,16 +34,6 @@ __all__ = [
     "g6_encode",
     "g6_decode",
 ]
-
-
-def edge_slots(n):
-    """Vertex pairs (i, j), i < j, in upper-triangle column-major order.
-
-    Slot t of a packed edge mask refers to edge_slots(n)[t].  The same
-    order is used by the graph6 codec and by the census enumeration, so
-    masks and graph6 edge bits agree bit for bit.
-    """
-    return [(i, j) for j in range(1, n) for i in range(j)]
 
 
 @dataclass(frozen=True)
@@ -330,26 +320,23 @@ def _mask_vertices(mask):
 #
 # Standard printable encoding: a size header (n+63 for n <= 62, else
 # '~' + 3 bytes of 6 bits each for n <= 258047), then the upper-triangle
-# edge bits in column-major order packed 6 per byte, most significant
-# first, zero-padded, each byte offset by 63.
+# edge bits packed 6 per byte, most significant first, zero-padded, each
+# byte offset by 63.  The edge bits run column by column: bit
+# j(j-1)/2 + i is the edge (i, j), i < j, so column j is vertex j's
+# lower-neighbour mask with vertex 0 first.
+
+# body byte -> its 6 bits; a byte outside 63..126 has no entry
+_G6_BITS = {63 + v: format(v, "06b") for v in range(64)}
 
 
 def g6_encode(g):
     """Encode a graph as graph6 bytes (bit-exact, round-trips with g6_decode)."""
     n = g.n
-    header = _g6_header(n)
-    bits = []
-    for i, j in edge_slots(n):
-        bits.append(g.rows[i] >> j & 1)
-    body = bytearray()
-    for t in range(0, len(bits), 6):
-        group = bits[t : t + 6]
-        val = 0
-        for b in group:
-            val = val << 1 | b
-        val <<= 6 - len(group)
-        body.append(val + 63)
-    return header + bytes(body)
+    bits = "".join([format(g.rows[j] & ((1 << j) - 1), f"0{j}b")[::-1]
+                    for j in range(1, n)])
+    bits += "0" * (-len(bits) % 6)
+    body = bytes([int(bits[t : t + 6], 2) + 63 for t in range(0, len(bits), 6)])
+    return _g6_header(n) + body
 
 
 def _g6_header(n):
@@ -361,7 +348,14 @@ def _g6_header(n):
 
 
 def g6_decode(data):
-    """Decode graph6 bytes (or str) back to a Graph."""
+    """Decode graph6 bytes (or str) back to a Graph.
+
+    Trailing newlines are dropped.  Raises ValueError on an empty input, a
+    1-byte size outside 64..125, the 8-byte size header ('~~'), a 4-byte
+    header that is truncated, has a size byte outside 63..126 or gives
+    order 0, an edge-byte count that does not match the order, an edge
+    byte outside 63..126, and nonzero padding bits.
+    """
     if isinstance(data, str):
         data = data.encode("ascii")
     data = data.rstrip(b"\n")
@@ -386,18 +380,23 @@ def g6_decode(data):
     want = (nbits + 5) // 6
     if len(body) != want:
         raise ValueError(f"graph6 length mismatch: {len(body)} edge bytes, expected {want}")
-    bits = []
-    for byte in body:
-        val = byte - 63
-        if val < 0 or val > 63:
-            raise ValueError(f"graph6 edge byte {byte} out of range")
-        bits.extend(val >> s & 1 for s in range(5, -1, -1))
-    if any(bits[nbits:]):
+    try:
+        bits = "".join(map(_G6_BITS.__getitem__, body))
+    except KeyError as e:
+        raise ValueError(f"graph6 edge byte {e.args[0]} out of range") from None
+    if "1" in bits[nbits:]:
         raise ValueError("graph6 trailing padding bits nonzero")
+    # reversed, bit j(j-1)/2 + i of one integer is the edge (i, j): each
+    # column is the next j bits, and its edges give the rows' upper halves
+    m = int(bits[:nbits][::-1] or "0", 2)
     rows = [0] * n
-    for t, (i, j) in enumerate(edge_slots(n)):
-        if bits[t]:
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
+    for j in range(1, n):
+        low = m & ((1 << j) - 1)
+        m >>= j
+        rows[j] = low
+        bj = 1 << j
+        while low:
+            b = low & -low
+            rows[b.bit_length() - 1] |= bj
+            low ^= b
     return Graph(n, rows)
-

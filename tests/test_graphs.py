@@ -1,8 +1,13 @@
-"""Graph construction, family constructors, and the graph6 codec."""
+"""Graph construction, family constructors, and the graph6 codec.
+
+g6_decode is checked against a per-bit decoder kept here as the
+reference, and against networkx's graph6 codec.
+"""
 
 import itertools
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,7 +18,6 @@ from specrad.graphs import (
     complete,
     cycle,
     disjoint_union,
-    edge_slots,
     extremal_graph,
     from_edges,
     g6_decode,
@@ -35,6 +39,54 @@ def brute_force_degrees(g):
 def random_graph(rng, n, p=0.5):
     return from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
                           if rng.random() < p])
+
+
+# -- reference: per-bit graph6 decoder ------------------------------------
+
+def g6_decode_reference(data):
+    """graph6 bytes to a Graph one bit at a time, over an explicit slot list.
+
+    Slot t is the t-th pair (i, j), i < j, of the upper triangle taken
+    column by column; its bit is bit 5 - t % 6 of body byte t // 6.
+    """
+    if isinstance(data, str):
+        data = data.encode("ascii")
+    data = data.rstrip(b"\n")
+    if not data:
+        raise ValueError("malformed graph6 header: empty input")
+    if data[0] == 126:
+        if len(data) >= 2 and data[1] == 126:
+            raise ValueError("malformed graph6 header: 8-byte sizes not supported")
+        if len(data) < 4:
+            raise ValueError("malformed graph6 header: truncated extended size")
+        parts = [data[i] - 63 for i in (1, 2, 3)]
+        if any(p < 0 or p > 63 for p in parts):
+            raise ValueError("malformed graph6 header: size byte out of range")
+        n = parts[0] << 12 | parts[1] << 6 | parts[2]
+        body = data[4:]
+    else:
+        n = data[0] - 63
+        if n < 1 or n > 62:
+            raise ValueError(f"malformed graph6 header: byte {data[0]}")
+        body = data[1:]
+    slots = [(i, j) for j in range(1, n) for i in range(j)]
+    want = (len(slots) + 5) // 6
+    if len(body) != want:
+        raise ValueError(f"graph6 length mismatch: {len(body)} edge bytes, expected {want}")
+    bits = []
+    for byte in body:
+        val = byte - 63
+        if val < 0 or val > 63:
+            raise ValueError(f"graph6 edge byte {byte} out of range")
+        bits.extend(val >> s & 1 for s in range(5, -1, -1))
+    if any(bits[len(slots):]):
+        raise ValueError("graph6 trailing padding bits nonzero")
+    rows = [0] * n
+    for t, (i, j) in enumerate(slots):
+        if bits[t]:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return Graph(n, rows)
 
 
 class TestComplete:
@@ -216,7 +268,7 @@ class TestGraph6:
         assert g6_encode(complete(1)) == b"@"
 
     def test_round_trip_order5_exhaustive(self):
-        slots = edge_slots(5)
+        slots = [(i, j) for j in range(1, 5) for i in range(j)]
         for mask in range(1 << 10):
             g = from_edges(5, [slots[t] for t in range(10) if mask >> t & 1])
             assert g6_decode(g6_encode(g)) == g
@@ -242,6 +294,24 @@ class TestGraph6:
             g6_decode(bytes([63 + 2, 63 + 1]))  # order 2: lone edge bit padded wrong
         with pytest.raises(ValueError, match="8-byte"):
             g6_decode(b"~~AAAAAA")
+        with pytest.raises(ValueError, match="header: byte 63"):
+            g6_decode(b"?")          # order 0
+        with pytest.raises(ValueError, match="header: byte 127"):
+            g6_decode(bytes([127]))  # order 64 needs the 4-byte header
+        with pytest.raises(ValueError, match="truncated extended size"):
+            g6_decode(b"~??")
+        for size in (b"~?>?", b"~??\x7f"):
+            with pytest.raises(ValueError, match="size byte out of range"):
+                g6_decode(size)
+        with pytest.raises(ValueError, match="at least one vertex"):
+            g6_decode(b"~???")       # order 0 in the 4-byte header
+        enc = g6_encode(path(80))
+        for bad in (enc[:-1], enc + b"?"):
+            with pytest.raises(ValueError, match="length mismatch"):
+                g6_decode(bad)
+        for byte in (62, 127):
+            with pytest.raises(ValueError, match=f"edge byte {byte} out of range"):
+                g6_decode(bytes([63 + 3, byte]))  # order 3: one edge byte
 
     def test_accepts_str_and_newline(self):
         assert g6_decode("Bw\n") == complete(3)
@@ -288,3 +358,45 @@ def test_constructors_build_valid_graphs(g, h, p, nk):
                   extremal_graph(p), shiu_graph(*nk), g6_decode(g6_encode(g))):
         built.validate()
     assert g6_decode(g6_encode(g)) == g
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(graphs())
+@example(complete(63))
+def test_g6_codec_agrees_with_networkx(g):
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edges())
+    enc = g6_encode(g)
+    assert g6_decode(enc) == g6_decode_reference(enc) == g
+    back = nx.from_graph6_bytes(enc)
+    assert from_edges(back.number_of_nodes(), back.edges()) == g
+    assert g6_decode(nx.to_graph6_bytes(nxg, header=False)) == g
+
+
+@st.composite
+def short_header_bytes(draw):
+    """A 1-byte size header and an edge-byte body, each mostly well formed."""
+    head = draw(st.one_of(st.integers(64, 125), st.integers(0, 255).filter(lambda b: b != 126)))
+    want = ((head - 63) * (head - 64) // 2 + 5) // 6
+    size = draw(st.one_of(st.just(want), st.integers(0, want + 2)))
+    body = draw(st.binary(min_size=size, max_size=size))
+    if draw(st.booleans()):
+        body = body.translate(bytes([63 + b % 64 for b in range(256)]))
+    return bytes([head]) + body
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(short_header_bytes())
+@example(b"Bw")
+@example(b"Bx")      # order 3, padding bit set
+@example(b"A_\n")
+def test_g6_decode_rejects_or_round_trips(data):
+    try:
+        g = g6_decode(data)
+    except ValueError:
+        with pytest.raises(ValueError):
+            g6_decode_reference(data)
+        return
+    assert g.validate() == g6_decode_reference(data)
+    assert g6_encode(g) == data.rstrip(b"\n")
