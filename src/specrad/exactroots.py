@@ -9,7 +9,7 @@ bracket (lo, hi, e, f): the interval (lo/2^e, hi/2^e] of integers lo < hi,
 or the root lo/2^e itself when lo == hi; f is p or its square-free part.
 
 * Seeded certificate.  Given a float estimate (a caller's eigenvalue,
-  or numpy's polynomial roots in :func:`largest_real_root`), brackets
+  or Newton's iteration from above in :func:`largest_real_root`), brackets
   of widening reach around it on the 2^-SEED_BITS grid are tried.
   :func:`shift_variations` counts the sign variations V(r) of p(r + t);
   by Descartes' rule of signs V(r) bounds the number of roots above r
@@ -38,8 +38,6 @@ import math
 from fractions import Fraction
 from math import gcd
 
-import numpy as np
-
 __all__ = [
     "normalize",
     "derivative",
@@ -64,6 +62,8 @@ SEED_REACH = (1, 4, 64, 1 << 12, 1 << 20)
 # gcd is formed: a common root on a fine dyadic grid (the integer radius
 # of a regular graph) is then met exactly by sign bisection, with no gcd.
 GCD_BITS = 64
+# Newton's iteration for a seed stops after at most NEWTON_STEPS steps.
+NEWTON_STEPS = 200
 
 
 def normalize(p):
@@ -340,26 +340,57 @@ def isolate_largest_root(p, seed=None):
     return ("interval", Fraction(lo, 1 << e), Fraction(hi, 1 << e), f)
 
 
+def _newton_seed(p):
+    """Float estimate of the largest real root of a normalized p, or None.
+
+    Newton's iteration on the float coefficients, started at Fujiwara's
+    bound 2 max |c_(d-k) / c_d|^(1/k), above every root, and stopped once
+    an iterate fails to decrease (or after NEWTON_STEPS).  Above its
+    largest root a real-rooted p is monotone and convex, so the iterates
+    fall onto that root.  On other input the estimate may be poor; it
+    is only a seed, so a bracket then fails to certify and Sturm takes
+    over.  A coefficient beyond float range gives no seed.
+    """
+    if len(p) < 2:
+        return None
+    try:
+        c = [float(a) for a in reversed(p)]
+    except OverflowError:
+        return None
+    x = 2 * max(abs(a / c[0]) ** (1 / k) for k, a in enumerate(c[1:], 1))
+    if x == math.inf:
+        return None
+    for _ in range(NEWTON_STEPS):
+        v = dv = 0.0
+        for a in c:
+            dv = dv * x + v
+            v = v * x + a
+        if not dv:
+            break
+        nxt = x - v / dv
+        if not -math.inf < nxt < x:  # no decrease, or NaN / -inf from overflow
+            break
+        x = nxt
+    return x
+
+
 def largest_real_root(p, abs_tol=1e-12):
     """Largest real root of p as a float, within abs_tol (finite, > 0).
 
-    The largest real part among numpy's roots of p is the seed; a
-    coefficient too large for a float leaves Sturm with no seed.  When the
-    integer m nearest to it has p(m) = 0 and V(m) = 0, Descartes' rule
-    proves m the largest root, exactly (this covers repeated roots on
-    top, which no bracket certifies).  Otherwise the seed's bracket (see
+    The seed comes from Newton's iteration from above
+    (:func:`_newton_seed`); a coefficient too large for a float leaves
+    Sturm with no seed.  When the integer m nearest to the seed has
+    p(m) = 0 and V(m) = 0, Descartes' rule proves m the largest root,
+    exactly (this covers repeated roots on top, which no bracket
+    certifies).  Otherwise the seed's bracket (see
     :func:`isolate_largest_root`) is bisected to width at most abs_tol/4
     on the dyadic grid, and its midpoint, correctly rounded, is returned.
     """
     if not (math.isfinite(abs_tol) and abs_tol > 0):
         raise ValueError(f"abs_tol must be finite and positive, got {abs_tol}")
     p = normalize(p)
-    try:
-        roots = np.roots(np.array(p[::-1], dtype=float))
-    except OverflowError:  # a coefficient beyond float range: no seed
-        roots = ()
-    seed = float(roots.real.max()) if len(roots) else None
-    if seed is not None and math.isfinite(seed):
+    seed = _newton_seed(p)
+    if seed is not None:
         m = round(seed)
         if _value(p, m, 1) == 0 and _shift_variations(p, m, 1) == 0:
             return float(m)

@@ -352,9 +352,11 @@ def g6_decode(data):
 
     Trailing newlines are dropped.  Raises ValueError on an empty input, a
     1-byte size outside 64..125, the 8-byte size header ('~~'), a 4-byte
-    header that is truncated, has a size byte outside 63..126 or gives
-    order 0, an edge-byte count that does not match the order, an edge
-    byte outside 63..126, and nonzero padding bits.
+    header that is truncated, has a size byte outside 63..126 or gives an
+    order below 63 (order 0, or one the 1-byte header writes), an
+    edge-byte count that does not match the order, an edge byte outside
+    63..126, and nonzero padding bits.  So every accepted input is the
+    g6_encode of the graph it decodes to, up to trailing newlines.
     """
     if isinstance(data, str):
         data = data.encode("ascii")
@@ -370,6 +372,8 @@ def g6_decode(data):
         if any(p < 0 or p > 63 for p in parts):
             raise ValueError("malformed graph6 header: size byte out of range")
         n = parts[0] << 12 | parts[1] << 6 | parts[2]
+        if n < 63:
+            raise ValueError(f"malformed graph6 header: 4-byte size {n} below 63")
         body = data[4:]
     else:
         n = data[0] - 63

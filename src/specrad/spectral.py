@@ -8,15 +8,16 @@
   characteristic polynomials with exact largest-root comparison, used to
   resolve census ties where float equality proves nothing.  The traces
   of A, A^2, ..., A^n come from float64 matmuls modulo word-size primes,
-  reduced only when an integer bound says a product could reach 2^53, so
-  every partial sum and trace is an exact float; Newton's identities
-  then run modulo the product M of the primes, and M exceeds twice a
-  proven coefficient bound B.  Float eigenvalues only seed the brackets
-  that :mod:`specrad.exactroots` certifies with Descartes' rule of signs.
-  Before any characteristic polynomial, :func:`exact_compare_rho`
-  screens graphs whose degree sequences differ: each float Perron
-  vector, rounded to positive integers, gives an exact Collatz-Wielandt
-  enclosure of the radius, and disjoint enclosures settle the order.
+  reduced (an exact int64 remainder) only when an integer bound says a
+  product could reach 2^53, so every partial sum and trace is an exact
+  float; Newton's identities then run modulo the product M of the
+  primes, and M exceeds twice a proven coefficient bound B.  Float
+  eigenvalues only seed the brackets that :mod:`specrad.exactroots`
+  certifies with Descartes' rule of signs.  Before any characteristic
+  polynomial, :func:`exact_compare_rho` screens graphs whose degree
+  sequences differ: each float Perron vector, rounded to positive
+  integers, gives an exact Collatz-Wielandt enclosure of the radius, and
+  disjoint enclosures settle the order.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ def full_spectrum(m):
 
 
 # int_charpoly reads the traces of A, A^2, ..., A^n modulo these primes, at
-# most 2^30.  A stored power is reduced (np.fmod) before the next product
+# most 2^30.  A stored power is reduced (_reduce) before the next product
 # could reach 2^53, and a reduced power has entries below max(p); a row of
 # A holds at most n <= 32 ones, so the next power's entries and its trace
 # stay below 32 * 32 * 2^30 = 2^40 < 2^53: float64 holds every partial sum
@@ -185,6 +186,17 @@ def _crt_table(primes):
 
 
 _CRT = [_crt_table(CHARPOLY_PRIMES[:i]) for i in range(1, len(CHARPOLY_PRIMES) + 1)]
+
+
+def _reduce(block, primes):
+    """Reduce `block` in place modulo the int64 `primes`, broadcast against it.
+
+    The block holds nonnegative integers below 2^53 as float64, so the
+    int64 cast is exact and the residues, in [0, p), are written back
+    exactly.  An integer remainder, not np.fmod: the C library's fmod
+    runs a slow long division when the quotient is large.
+    """
+    np.remainder(block.astype(np.int64), primes, out=block)
 
 
 def charpoly_bound(n, ones):
@@ -214,7 +226,7 @@ def int_charpoly(g):
 
     Power traces and Newton's identities.  The powers A, A^2, ..., A^n
     are float64 matmuls, one per power, with the primes in use side by
-    side in the columns.  A power is reduced with np.fmod only when an
+    side in the columns.  A power is reduced (:func:`_reduce`) only when an
     integer bound on its entries, times n and the largest row sum of A,
     says the next power or its trace could reach 2^53.  One einsum reads
     every trace; the traces are rebuilt by CRT modulo the product M of
@@ -240,16 +252,16 @@ def int_charpoly(g):
     pmax = max(primes)
     assert modulus > 2 * bound, "CRT modulus must exceed twice the coefficient bound"
     assert n * dmax * pmax < 2**53, "a reduced power must multiply exactly"
-    pv = np.tile(np.array(primes, dtype=float), n)  # the prime of each column
+    pv = np.array(primes, dtype=np.int64)
     # pw[k - 1] is A^k with the primes side by side: pw4[k - 1, i, j, t] is
-    # (A^k)[i, j], modulo primes[t] once reduced
+    # (A^k)[i, j], modulo pv[t] once reduced
     pw = np.empty((n, n, n * used))
     pw4 = pw.reshape(n, n, n, used)
     pw4[0] = a[:, :, None]
     top = 2  # every entry of pw[k - 1] is below top
     for k in range(1, n):
         if n * dmax * top >= 2**53:  # A^(k+1) or its trace could be inexact
-            np.fmod(pw[k - 1], pv, out=pw[k - 1])
+            _reduce(pw4[k - 1], pv)
             top = pmax
         np.matmul(a, pw[k - 1], out=pw[k])
         top *= dmax

@@ -1,8 +1,10 @@
 """Shared helpers: seeded random graphs, a counter on the Sturm fallback,
-a guard that the exact root engine builds no Fraction."""
+guards that the exact root engine builds no Fraction and seeds from no
+numpy polynomial roots."""
 
 import random
 
+import numpy as np
 import pytest
 
 from specrad import exactroots
@@ -44,3 +46,13 @@ def no_fraction(monkeypatch):
         raise AssertionError(f"exactroots built Fraction{args}")
 
     monkeypatch.setattr(exactroots, "Fraction", stub)
+
+
+@pytest.fixture
+def no_np_roots(monkeypatch):
+    """Makes np.roots raise: largest_real_root seeds by Newton's iteration,
+    not from a companion matrix."""
+    def stub(*args):
+        raise AssertionError("np.roots called")
+
+    monkeypatch.setattr(np, "roots", stub)

@@ -17,6 +17,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import random_graph
 from specrad import exactroots
 from specrad.exactroots import (
     cauchy_bound,
@@ -32,6 +33,8 @@ from specrad.exactroots import (
     square_free_part,
     sturm_chain,
 )
+from specrad.graphs import complete
+from specrad.spectral import int_charpoly
 from test_spectral import _poly_mul
 
 
@@ -193,6 +196,44 @@ def test_largest_real_root_beyond_float_range():
     assert largest_real_root((-2 * 10**400, 10**400)) == pytest.approx(2.0, abs=1e-12)
     # (x - 3)(x^2 + 10^400)
     assert largest_real_root((-3 * 10**400, 10**400, -3, 1)) == pytest.approx(3.0, abs=1e-12)
+
+
+def _unseeded_root(p, abs_tol):
+    """The Sturm-only value largest_real_root must return within abs_tol."""
+    loc = _bisect(isolate_largest_root(p), Fraction(abs_tol) / 4)
+    return float(loc[1]) if loc[0] == "exact" else float((loc[1] + loc[2]) / 2)
+
+
+@pytest.mark.parametrize("scale", [1, 10, 1000, 10**6])
+def test_newton_seed_misses_below_complex_pair(sturm_calls, no_np_roots, scale):
+    # x ((x - 10c)^2 + c^2): Newton runs down onto the complex pair at
+    # 10c +- ci, stalls where p' vanishes, and no bracket certifies the
+    # real root 0 under it; (x + c)((x - 3c)^2 + c^2) is the same with a
+    # negative real root
+    for p in ((0, 101 * scale**2, -20 * scale, 1),
+              _poly_mul((scale, 1), (10 * scale**2, -6 * scale, 1))):
+        for abs_tol in (1e-12, 1e-6):
+            got = largest_real_root(p, abs_tol)
+            assert abs(got - _unseeded_root(p, abs_tol)) <= abs_tol
+    assert sturm_calls
+
+
+def test_newton_seed_double_irrational_top_root(sturm_calls, no_np_roots):
+    # (x^2 - 2)^2: Newton converges to sqrt(2), but a double root has no
+    # certifying bracket and is not an integer
+    p = (4, 0, -4, 0, 1)
+    assert abs(largest_real_root(p) - _unseeded_root(p, 1e-12)) <= 1e-12
+    assert largest_real_root(p) == pytest.approx(2**0.5, abs=1e-12)
+    assert sturm_calls
+
+
+def test_newton_seed_degree_24_charpolys(sturm_calls, no_np_roots):
+    # degree 24, Newton started at Fujiwara's bound far above the radius:
+    # the seed still certifies, with no Sturm chain
+    for g in (complete(24), random_graph(random.Random(24), 24, 0.5)):
+        root = largest_real_root(int_charpoly(g).coeffs)
+        assert root == pytest.approx(np.linalg.eigvalsh(g.adjacency_matrix())[-1], abs=1e-9)
+    assert not sturm_calls
 
 
 def test_no_real_root_raises():

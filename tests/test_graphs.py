@@ -63,6 +63,8 @@ def g6_decode_reference(data):
         if any(p < 0 or p > 63 for p in parts):
             raise ValueError("malformed graph6 header: size byte out of range")
         n = parts[0] << 12 | parts[1] << 6 | parts[2]
+        if n < 63:
+            raise ValueError(f"malformed graph6 header: 4-byte size {n} below 63")
         body = data[4:]
     else:
         n = data[0] - 63
@@ -303,8 +305,12 @@ class TestGraph6:
         for size in (b"~?>?", b"~??\x7f"):
             with pytest.raises(ValueError, match="size byte out of range"):
                 g6_decode(size)
-        with pytest.raises(ValueError, match="at least one vertex"):
+        with pytest.raises(ValueError, match="header: 4-byte size 0 below 63"):
             g6_decode(b"~???")       # order 0 in the 4-byte header
+        with pytest.raises(ValueError, match="header: 4-byte size 1 below 63"):
+            g6_decode(b"~??@")       # K_1, whose graph6 is b"@"
+        with pytest.raises(ValueError, match="header: 4-byte size 62 below 63"):
+            g6_decode(b"~??}" + g6_encode(path(62))[1:])
         enc = g6_encode(path(80))
         for bad in (enc[:-1], enc + b"?"):
             with pytest.raises(ValueError, match="length mismatch"):
@@ -374,23 +380,39 @@ def test_g6_codec_agrees_with_networkx(g):
     assert g6_decode(nx.to_graph6_bytes(nxg, header=False)) == g
 
 
-@st.composite
-def short_header_bytes(draw):
-    """A 1-byte size header and an edge-byte body, each mostly well formed."""
-    head = draw(st.one_of(st.integers(64, 125), st.integers(0, 255).filter(lambda b: b != 126)))
-    want = ((head - 63) * (head - 64) // 2 + 5) // 6
+def _edge_bytes(draw, n):
+    """An edge-byte body for order n, mostly of the right length and in range."""
+    want = (n * (n - 1) // 2 + 5) // 6
     size = draw(st.one_of(st.just(want), st.integers(0, want + 2)))
     body = draw(st.binary(min_size=size, max_size=size))
     if draw(st.booleans()):
         body = body.translate(bytes([63 + b % 64 for b in range(256)]))
-    return bytes([head]) + body
+    return body
+
+
+@st.composite
+def short_header_bytes(draw):
+    """A 1-byte size header and an edge-byte body, each mostly well formed."""
+    head = draw(st.one_of(st.integers(64, 125), st.integers(0, 255).filter(lambda b: b != 126)))
+    return bytes([head]) + _edge_bytes(draw, head - 63)
+
+
+@st.composite
+def long_header_bytes(draw):
+    """A 4-byte size header for an order up to 80, most of them below 63
+    (the 1-byte header's range), and an edge-byte body."""
+    n = draw(st.integers(0, 80))
+    head = bytes([126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63])
+    return head + _edge_bytes(draw, n)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(short_header_bytes())
+@given(st.one_of(short_header_bytes(), long_header_bytes()))
 @example(b"Bw")
 @example(b"Bx")      # order 3, padding bit set
 @example(b"A_\n")
+@example(b"~??@")    # K_1 under the 4-byte header
+@example(b"~???")    # order 0 under the 4-byte header
 def test_g6_decode_rejects_or_round_trips(data):
     try:
         g = g6_decode(data)

@@ -1,4 +1,5 @@
-"""Packaging: console scripts resolve, and the runtime needs only numpy."""
+"""Packaging: console scripts resolve, the runtime needs only numpy, and
+the exact root engine not even that."""
 
 import importlib
 import os
@@ -22,14 +23,25 @@ def test_scripts_resolve():
         assert callable(obj), name
 
 
-def test_runtime_needs_no_test_extras():
-    # networkx, sympy and hypothesis are test-only: every module imports
-    # with each of them blocked
-    code = ("import sys\n"
-            "for name in ('networkx', 'sympy', 'hypothesis'):\n"
-            "    sys.modules[name] = None\n"
-            "import specrad.connectivity, specrad.exactroots, specrad.graphs, "
-            "specrad.quotient, specrad.spectral\n")
+def _import_blocking(blocked, modules):
+    """Import `modules` in a fresh interpreter with `blocked` unimportable."""
+    code = (f"import sys\n"
+            f"for name in {blocked!r}:\n"
+            f"    sys.modules[name] = None\n"
+            f"import {', '.join(modules)}\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(PYPROJECT.parent / "src"), os.environ.get("PYTHONPATH")])))
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_runtime_needs_no_test_extras():
+    # networkx, sympy and hypothesis are test-only: every module imports
+    # with each of them blocked
+    _import_blocking(("networkx", "sympy", "hypothesis"),
+                     ("specrad.connectivity", "specrad.exactroots", "specrad.graphs",
+                      "specrad.quotient", "specrad.spectral"))
+
+
+def test_exactroots_needs_no_numpy():
+    # the exact root engine is integer-only; floats only seed its brackets
+    _import_blocking(("numpy",), ("specrad.exactroots",))

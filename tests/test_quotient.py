@@ -221,10 +221,10 @@ class TestLargestCubicRoot:
         got = largest_cubic_root(CubicCoeffs(0, 1, 1))
         assert got**3 + got + 1 == pytest.approx(0.0, abs=1e-10)
 
-    def test_extremal_cubics_skip_sturm(self, sturm_calls, no_fraction):
-        # every valid triple with n < 40: certified without the fallback
-        # or a Fraction, and equal to the top eigenvalue of the
-        # symmetrized quotient
+    def test_extremal_cubics_skip_sturm(self, sturm_calls, no_fraction, no_np_roots):
+        # every valid triple with n < 40: seeded by Newton's iteration,
+        # certified without the fallback or a Fraction, and equal to the
+        # top eigenvalue of the symmetrized quotient
         count = 0
         for n in range(4, 40):
             for k in range(1, n - 1):

@@ -126,16 +126,16 @@ def faddeev_leverrier_charpoly(g):
 
 
 def _charpoly_and_reductions(monkeypatch, g):
-    """int_charpoly(g).coeffs and the number of np.fmod calls it made."""
-    fmod = np.fmod
+    """int_charpoly(g).coeffs and the number of power reductions it made."""
+    reduce = spectral._reduce
     calls = []
 
-    def counting_fmod(*args, **kwargs):
+    def counting_reduce(*args):
         calls.append(1)
-        return fmod(*args, **kwargs)
+        return reduce(*args)
 
     with monkeypatch.context() as m:
-        m.setattr(np, "fmod", counting_fmod)
+        m.setattr(spectral, "_reduce", counting_reduce)
         coeffs = int_charpoly(g).coeffs
     return coeffs, len(calls)
 
@@ -492,6 +492,23 @@ class TestIntCharpoly:
         coeffs, reductions = _charpoly_and_reductions(monkeypatch, g)
         assert reductions == 0
         assert coeffs == faddeev_leverrier_charpoly(g)
+
+    def test_reduce_matches_fmod(self):
+        # the int64 remainder against np.fmod, the float reduction it replaced,
+        # on random nonnegative integers below 2^53 and the edge values
+        rng = np.random.default_rng(21)
+        x = rng.integers(0, 2**53, size=(40, 40)).astype(float)
+        x[0, :4] = (0, 1, 2**53 - 1, 2**52)
+        for p in CHARPOLY_PRIMES:
+            x[1, :3] = (p - 1, p, p + 1)
+            got = x.copy()
+            spectral._reduce(got, np.array([p], dtype=np.int64))
+            assert np.array_equal(got, np.fmod(x, p))
+        # side by side, one prime per trailing entry, as int_charpoly lays them out
+        pv = np.array(CHARPOLY_PRIMES, dtype=np.int64)
+        got = x[:, :39].reshape(40, 13, 3).copy()
+        spectral._reduce(got, pv)
+        assert np.array_equal(got, np.fmod(x[:, :39].reshape(40, 13, 3), pv.astype(float)))
 
     def test_prime_constants(self):
         assert len(set(CHARPOLY_PRIMES)) == len(CHARPOLY_PRIMES)
