@@ -1,4 +1,4 @@
-"""Vertex connectivity, cut witnesses, and the degree-based guarantee.
+"""Vertex connectivity, cut witnesses, and the k-set decision.
 
 kappa(G) is computed by unit-capacity max-flow on the vertex-split
 digraph (each vertex becomes an in/out pair joined by a capacity-1 arc),
@@ -16,9 +16,17 @@ vertex outside a separator S would connect all of G - S.  On a clique
 join K_k + (K_a u K_b), G - U is disconnected, so U is the cut and no
 flow runs at all.
 
-:func:`connectivity_at_most` decides kappa(G) <= k on k-sets alone: for
-k <= n-2, a smaller separator extends to one of exactly k vertices (keep
-one vertex in each of two components), so it costs C(n, k) bitset BFS
+:func:`connectivity_at_most` decides kappa(G) <= k for k <= n-2 from
+the minimum degree delta where it can.  Such a G is not complete, since
+kappa(K_n) = n-1, so delta < n-1.  From above, kappa(G) <= delta
+(Whitney, Amer. J. Math. 54, 1932): the neighbourhood of a
+minimum-degree vertex v separates v from its non-neighbours.  From below,
+kappa(G) >= 2*delta + 2 - n: a separator S with sides A and B leaves
+each vertex of A adjacent only within A u S, so delta <= |A| - 1 + |S|,
+likewise for B, and the sum gives 2*delta <= n + |S| - 2.  Only k in
+[2*delta + 2 - n, delta - 1] reaches the k-set search: a separator of
+fewer than k vertices extends to one of exactly k (keep one vertex in
+each of two components), so it tries k-sets alone, C(n, k) bitset BFS
 calls of :mod:`specrad.graphs`.  It agrees with the max-flow route
 (tested) and beats it on the census graphs only for small n and k.
 """
@@ -41,7 +49,6 @@ __all__ = [
     "vertex_connectivity",
     "is_k_connected",
     "connectivity_at_most",
-    "lemma_guarantee",
 ]
 
 
@@ -195,18 +202,29 @@ def vertex_connectivity(g):
 
 
 def connectivity_at_most(g, k):
-    """Decide kappa(G) <= k by trying every set of exactly k vertices.
+    """Decide kappa(G) <= k, from the minimum degree delta where it can.
 
-    k = 0 tries the empty set, i.e. the connectivity test; C(n, k) bitset
-    BFS calls in all.  Equivalent to vertex_connectivity(g)[0] <= k.
+    For k <= n-2: k >= delta is True, since G is not complete and the
+    neighbourhood of a minimum-degree vertex separates it (kappa <= delta);
+    k < 2*delta + 2 - n is False, since a separator S with sides A and B
+    has delta <= |A| - 1 + |S| and delta <= |B| - 1 + |S|, so
+    kappa >= 2*delta + 2 - n.  Any other k tries every set of exactly k
+    vertices, C(n, k) bitset BFS calls.  Equivalent to
+    vertex_connectivity(g)[0] <= k.
     """
     if k < 0:
         return False  # kappa >= 0 > k
     n = g.n
     if k >= n - 1:
         return True
-    full = (1 << n) - 1
     rows = g.rows
+    # inline, not graphs.min_degree: a traced scan gets no extra span per call
+    delta = min(map(int.bit_count, rows))
+    if k >= delta:
+        return True
+    if k < 2 * delta + 2 - n:
+        return False
+    full = (1 << n) - 1
     for combo in combinations(range(n), k):
         avail = full
         for v in combo:
@@ -221,14 +239,3 @@ def is_k_connected(g, k):
     if k < 1:
         raise ValueError("is_k_connected needs k >= 1")
     return not connectivity_at_most(g, k - 1)
-
-
-def lemma_guarantee(n, k, delta):
-    """True iff delta > (n+k)/2 + 1, evaluated exactly over the integers.
-
-    Graphs meeting this degree threshold are always (k+1)-connected: a
-    separator S with sides A and B has every vertex of A adjacent only
-    within A u S, so delta <= |A| - 1 + |S| and likewise for B; adding
-    the two gives 2 delta <= n + |S| - 2, hence |S| > k + 4.
-    """
-    return 2 * delta > n + k + 2

@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Graph:
     """Simple undirected graph; immutable, hashable, labeled.
 
@@ -190,7 +190,7 @@ def disjoint_union(g, h):
     return Graph(n + h.n, rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtremalParams:
     """Parameters (n, k, delta) of the clique-join family.
 

@@ -1,13 +1,16 @@
-"""Vertex connectivity: max-flow route, subset route, witnesses, guarantee."""
+"""Vertex connectivity: max-flow route, subset route, witnesses, degree bounds."""
 
 import random
 from itertools import combinations
 
 import networkx as nx
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from networkx.algorithms.connectivity import local_node_connectivity
 
 from conftest import random_connected_graph, random_graph
+from specrad import connectivity
 from specrad.graphs import (
     ExtremalParams,
     complete,
@@ -15,6 +18,7 @@ from specrad.graphs import (
     disjoint_union,
     extremal_graph,
     from_edges,
+    is_connected,
     join,
     min_degree,
     path,
@@ -24,7 +28,6 @@ from specrad.connectivity import (
     _split_maxflow,
     connectivity_at_most,
     is_k_connected,
-    lemma_guarantee,
     vertex_connectivity,
 )
 
@@ -191,8 +194,10 @@ class TestSubsetRoute:
                 assert connectivity_at_most(g, k) == (kappa <= k) == (want <= k)
 
     def test_atlas_against_definition(self):
-        # every atlas graph on 1-7 vertices, the disconnected ones included:
-        # kappa(G) <= k, and k-connected means n > k and kappa(G) >= k
+        # every atlas graph on 1-7 vertices, the disconnected and complete ones
+        # included: kappa(G) <= k, and k-connected means n > k and kappa(G) >= k.
+        # On K_n, 2*delta + 2 - n = n > kappa = n - 1: the degree lower bound
+        # may only act for k <= n - 2, after the k >= n - 1 exit
         checked = 0
         for h in nx.graph_atlas_g():
             n = h.number_of_nodes()
@@ -200,6 +205,7 @@ class TestSubsetRoute:
                 continue
             g = from_edges(n, list(h.edges()))
             kappa = nx.node_connectivity(h)
+            assert vertex_connectivity(g)[0] == kappa
             for k in range(-2, n + 2):
                 assert connectivity_at_most(g, k) == (kappa <= k)
             for k in range(1, n + 2):
@@ -347,28 +353,57 @@ class TestSplitMaxflow:
                     assert flow == true and residual_cut(parent) == uncapped_cut
 
 
-class TestLemmaGuarantee:
-    def test_examples(self):
-        assert lemma_guarantee(8, 1, 6)          # 6 > 5.5
-        assert not lemma_guarantee(8, 1, 5)      # 5 < 5.5
-        # boundary is strict: delta = (n+k)/2 + 1 exactly must fail
-        assert not lemma_guarantee(9, 1, 6)      # 6 > 6 fails
-        assert not lemma_guarantee(6, 2, 5)      # 5 > 5 fails
+class TestDegreeBounds:
+    def test_tight_on_atlas(self):
+        # 2*delta + 2 - n <= kappa <= delta on every connected, non-complete
+        # atlas graph, and some graph meets each end exactly
+        low = high = checked = 0
+        for h in nx.graph_atlas_g()[1:]:  # the first atlas graph has no vertices
+            g = from_edges(h.number_of_nodes(), list(h.edges()))
+            if g.is_complete() or not is_connected(g):
+                continue
+            kappa, delta = vertex_connectivity(g)[0], min_degree(g)
+            assert 2 * delta + 2 - g.n <= kappa <= delta
+            low += kappa == 2 * delta + 2 - g.n
+            high += kappa == delta
+            checked += 1
+        assert checked == 996 - 7  # K_1, ..., K_7 left out
+        assert low > 0 and high > 0
 
-    def test_exact_rational_boundary(self):
-        from fractions import Fraction
-        for n in range(3, 20):
-            for k in range(1, n):
-                for d in range(0, n):
-                    want = Fraction(d) > Fraction(n + k, 2) + 1
-                    assert lemma_guarantee(n, k, d) == want
+    @pytest.mark.parametrize("k, searched", [(0, False), (1, False), (2, True),
+                                             (3, False), (4, False)])
+    def test_search_runs_only_between_the_bounds(self, monkeypatch, k, searched):
+        # K_{3,3}: delta = 3 and 2*delta + 2 - n = 2, so only k = 2 is searched
+        calls = []
+        real = connectivity._component_mask
 
-    def test_implies_connectivity_small(self):
-        # every graph on <= 6 vertices meeting the premise is (k+1)-connected
-        rng = random.Random(25)
-        for _ in range(300):
-            n = rng.randint(3, 6)
-            g = random_graph(rng, n, rng.uniform(0.5, 1.0))
-            for k in range(1, n - 1):
-                if lemma_guarantee(n, k, min_degree(g)):
-                    assert is_k_connected(g, k + 1)
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(connectivity, "_component_mask", counting)
+        g = from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)])
+        assert connectivity_at_most(g, k) == (k >= 3)
+        assert bool(calls) == searched
+
+
+@st.composite
+def small_graphs(draw, max_n=12):
+    """n <= max_n vertices; the drawn edges, or their complement for dense graphs."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    drawn = draw(st.sets(st.sampled_from(pairs), max_size=3 * n)) if pairs else set()
+    if draw(st.booleans()):
+        drawn = set(pairs) - drawn
+    return from_edges(n, drawn)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(small_graphs())
+@example(complete(12))
+@example(from_edges(12, [(i, j) for i in range(12) for j in range(i + 2, 12)]))  # P_12 complement
+def test_decision_matches_vertex_connectivity(g):
+    # complements of sparse draws are dense graphs, where the lower bound acts
+    kappa = vertex_connectivity(g)[0]
+    for k in range(-1, g.n + 2):
+        assert connectivity_at_most(g, k) == (kappa <= k)

@@ -236,6 +236,18 @@ class TestGraph:
         g, h = Graph(2, [2, 1]), Graph(2, (2, 1))
         assert g == h and hash(g) == hash(h) and g.rows == (2, 1)
 
+    def test_slots_keep_content_equality(self):
+        # slotted: no per-instance __dict__, yet hashed and compared by content
+        g, h = cycle(5), from_edges(5, [(0, 4), (3, 4), (2, 3), (1, 2), (0, 1)])
+        assert g is not h and g == h and hash(g) == hash(h)
+        assert g != cycle(6) and len({g, h, cycle(6)}) == 2
+        p = ExtremalParams(7, 2, 3)
+        assert p == ExtremalParams(7, 2, 3) and hash(p) == hash(ExtremalParams(7, 2, 3))
+        for obj in (g, p):
+            assert not hasattr(obj, "__dict__")
+            with pytest.raises(AttributeError):
+                obj.n = 4
+
 
 class TestQueries:
     def test_min_degree_complete(self):
