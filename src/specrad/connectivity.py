@@ -47,7 +47,6 @@ from .graphs import (
 __all__ = [
     "CutWitness",
     "vertex_connectivity",
-    "is_k_connected",
     "connectivity_at_most",
 ]
 
@@ -233,9 +232,3 @@ def connectivity_at_most(g, k):
             return True
     return False
 
-
-def is_k_connected(g, k):
-    """k-connectivity: n > k and kappa(G) >= k."""
-    if k < 1:
-        raise ValueError("is_k_connected needs k >= 1")
-    return not connectivity_at_most(g, k - 1)

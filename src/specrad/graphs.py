@@ -6,8 +6,8 @@ component searches and cut checks of the connectivity layer work on masks
 without building per-vertex containers, and a graph is hashable so it can
 be deduplicated directly.
 
-The module also provides the constructors for the clique-join families
-studied here (``extremal_graph``, ``shiu_graph``) and the graph6 codec.
+The module also provides the constructor of the clique-join family
+studied here (``extremal_graph``) and the graph6 codec.
 """
 
 from __future__ import annotations
@@ -21,12 +21,9 @@ __all__ = [
     "ExtremalParams",
     "complete",
     "cycle",
-    "path",
-    "star",
     "join",
     "disjoint_union",
     "extremal_graph",
-    "shiu_graph",
     "min_degree",
     "is_connected",
     "components",
@@ -57,17 +54,6 @@ class Graph:
         if len(self.rows) != self.n:
             raise ValueError("adjacency rows do not match vertex count")
 
-    # -- basic queries ------------------------------------------------
-
-    def has_edge(self, i, j):
-        self._check_vertex(i)
-        self._check_vertex(j)
-        return bool(self.rows[i] >> j & 1)
-
-    def degree(self, v):
-        self._check_vertex(v)
-        return self.rows[v].bit_count()
-
     def degrees(self):
         """Degree of every vertex, in vertex order."""
         # a list, not a generator: on CPython 3.11 a generator expression here
@@ -87,19 +73,6 @@ class Graph:
                 yield (i, b.bit_length() - 1)
                 m ^= b
 
-    def neighbors(self, v):
-        self._check_vertex(v)
-        m = self.rows[v]
-        out = []
-        while m:
-            b = m & -m
-            out.append(b.bit_length() - 1)
-            m ^= b
-        return out
-
-    def is_complete(self):
-        return all(r.bit_count() == self.n - 1 for r in self.rows)
-
     def adjacency_matrix(self):
         """Dense adjacency matrix as a numpy array."""
         nbytes = (self.n + 7) // 8
@@ -107,10 +80,6 @@ class Graph:
         bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(self.n, nbytes),
                              axis=1, bitorder="little")[:, : self.n]
         return bits.astype(float)
-
-    def _check_vertex(self, v):
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range 0..{self.n - 1}")
 
     def validate(self):
         """Check the structural invariants; raises on violation."""
@@ -157,20 +126,6 @@ def cycle(n):
     if n < 3:
         raise ValueError("cycle needs n >= 3")
     return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def path(n):
-    """Path P_n on n vertices."""
-    if n < 1:
-        raise ValueError("path needs n >= 1")
-    return from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def star(leaves):
-    """Star K_{1,leaves}: vertex 0 joined to `leaves` pendant vertices."""
-    if leaves < 0:
-        raise ValueError("leaves must be >= 0")
-    return from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
 def join(g, h):
@@ -249,19 +204,6 @@ def extremal_graph(p):
     """
     k, a, b = p.validate().block_sizes
     return join(complete(k), disjoint_union(complete(a), complete(b)))
-
-
-def shiu_graph(n, k):
-    """K_{n-1} with k of its vertices joined to one extra vertex.
-
-    Equals extremal_graph with delta = k, i.e. K_k + (K_1 u K_{n-k-1});
-    for k = n-1 the second clique is empty and the graph is K_n.
-    """
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"shiu_graph needs 1 <= k <= n-1, got (n={n}, k={k})")
-    if k == n - 1:
-        return complete(n)
-    return extremal_graph(ExtremalParams(n, k, k))
 
 
 # -- standard queries --------------------------------------------------

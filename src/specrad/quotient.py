@@ -1,4 +1,4 @@
-"""Equitable partitions, quotient matrices, interlacing, and the cubic.
+"""Equitable partitions, quotient matrices, and the cubic.
 
 A partition's quotient matrix has q[i][j] = e_ij / n_i for i != j and
 q[i][i] = 2 e_i / n_i, where e_ij counts edges between blocks i and j
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import exactroots
 from .graphs import ExtremalParams
-from .spectral import _top_pair, full_spectrum
+from .spectral import _top_pair
 
 __all__ = [
     "Partition",
@@ -29,10 +29,8 @@ __all__ = [
     "two_clique_quotient",
     "cubic_coefficients",
     "largest_cubic_root",
-    "quotient_spectrum",
     "quotient_perron",
     "lift_block_vector",
-    "check_interlacing",
 ]
 
 
@@ -187,16 +185,6 @@ def _symmetrized(qm: QuotientMatrix):
     return np.array(sym), np.array(d)
 
 
-def quotient_spectrum(qm: QuotientMatrix):
-    """All eigenvalues of a quotient matrix, ascending.
-
-    Q is not symmetric, but edge-count symmetry n_i q_ij = n_j q_ji makes
-    D^{1/2} Q D^{-1/2} symmetric for D = diag(n_i), so the symmetric
-    eigensolver applies after that similarity transform.
-    """
-    return full_spectrum(_symmetrized(qm)[0])
-
-
 def quotient_perron(qm: QuotientMatrix):
     """Dominant eigenpair (rho, x) of a nonnegative irreducible quotient.
 
@@ -223,18 +211,3 @@ def lift_block_vector(p: Partition, x):
             y[v] = x[bi]
     return y
 
-
-def check_interlacing(sub, full):
-    """lambda_i(A) >= lambda_i(Q) >= lambda_{i+n-m}(A) for all i, descending, within 1e-9.
-
-    `sub` and `full` are the eigenvalues of Q and A, in any order.
-    """
-    m, n = len(sub), len(full)
-    if m > n:
-        raise ValueError(f"quotient spectrum larger than full spectrum ({m} > {n})")
-    qs = sorted(sub, reverse=True)
-    fs = sorted(full, reverse=True)
-    for i in range(m):
-        if not (fs[i] + 1e-9 >= qs[i] >= fs[i + n - m] - 1e-9):
-            return False
-    return True

@@ -1,9 +1,8 @@
 """Graph spectra: float eigenpairs from LAPACK, exact characteristic polynomials.
 
-* :func:`perron`, :func:`perron_rho_batch`, :func:`full_spectrum` --
-  numpy's LAPACK symmetric eigensolver, for the dominant eigenpair of a
-  connected graph (checked by :class:`PerronPair`), the spectral radii
-  of a batch, and whole spectra;
+* :func:`perron`, :func:`perron_rho_batch` -- numpy's LAPACK symmetric
+  eigensolver, for the dominant eigenpair of a connected graph (checked
+  by :class:`PerronPair`) and the spectral radii of a batch;
 * :func:`int_charpoly` / :func:`exact_compare_rho` -- exact integer
   characteristic polynomials with exact largest-root comparison, used to
   resolve census ties where float equality proves nothing.  The traces
@@ -38,7 +37,6 @@ __all__ = [
     "Ordering",
     "perron",
     "perron_rho_batch",
-    "full_spectrum",
     "int_charpoly",
     "exact_compare_rho",
     "charpoly_bound",
@@ -80,16 +78,6 @@ class IntCharPoly:
     """Exact integer coefficients of det(xI - A), ascending powers, monic."""
 
     coeffs: tuple
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def evaluate(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
 
 class Ordering(enum.Enum):
@@ -145,21 +133,6 @@ def perron_rho_batch(mats):
     if not np.isfinite(a).all():
         raise ValueError("perron_rho_batch needs finite entries")
     return np.linalg.eigvalsh(a)[:, -1]
-
-
-def full_spectrum(m):
-    """All eigenvalues of a symmetric matrix, ascending, from LAPACK.
-
-    Input must be square, finite and symmetric within 1e-12.
-    """
-    a = np.array(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("full_spectrum needs a square matrix")
-    if not np.isfinite(a).all():
-        raise ValueError("full_spectrum needs finite entries")
-    if a.size and np.max(np.abs(a - a.T)) > 1e-12:
-        raise ValueError("matrix is not symmetric within 1e-12")
-    return tuple(float(v) for v in np.linalg.eigvalsh((a + a.T) / 2.0))
 
 
 # int_charpoly reads the traces of A, A^2, ..., A^n modulo these primes, at

@@ -1,14 +1,22 @@
-"""Shared helpers: seeded random graphs, a counter on the Sturm fallback,
-guards that the exact root engine builds no Fraction and seeds from no
+"""Shared helpers: paths, stars and seeded random graphs, a counter on the
+Sturm fallback, guards that the exact root engine builds no Fraction and seeds from no
 numpy polynomial roots."""
-
-import random
 
 import numpy as np
 import pytest
 
 from specrad import exactroots
 from specrad.graphs import from_edges, is_connected
+
+
+def path(n):
+    """Path P_n on n vertices."""
+    return from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def star(leaves):
+    """Star K_{1,leaves}: vertex 0 joined to `leaves` pendant vertices."""
+    return from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
 def random_graph(rng, n, p=0.5):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from networkx.algorithms.connectivity import local_node_connectivity
 
-from conftest import random_connected_graph, random_graph
+from conftest import path, random_connected_graph, random_graph
 from specrad import connectivity
 from specrad.graphs import (
     ExtremalParams,
@@ -21,13 +21,11 @@ from specrad.graphs import (
     is_connected,
     join,
     min_degree,
-    path,
 )
 from specrad.connectivity import (
     CutWitness,
     _split_maxflow,
     connectivity_at_most,
-    is_k_connected,
     vertex_connectivity,
 )
 
@@ -135,7 +133,7 @@ class TestVertexConnectivity:
         for p in (0.2, 0.6, 1.0):
             for _ in range(20):
                 h = random_graph(rng, rng.randint(2, 10), p)
-                kind = ("complete" if h.is_complete()
+                kind = ("complete" if h.edge_count == h.n * (h.n - 1) // 2
                         else "connected" if nx.is_connected(to_networkx(h))
                         else "disconnected")
                 kinds.add(kind)
@@ -195,7 +193,7 @@ class TestSubsetRoute:
 
     def test_atlas_against_definition(self):
         # every atlas graph on 1-7 vertices, the disconnected and complete ones
-        # included: kappa(G) <= k, and k-connected means n > k and kappa(G) >= k.
+        # included: kappa(G) <= k for every k.
         # On K_n, 2*delta + 2 - n = n > kappa = n - 1: the degree lower bound
         # may only act for k <= n - 2, after the k >= n - 1 exit
         checked = 0
@@ -208,8 +206,6 @@ class TestSubsetRoute:
             assert vertex_connectivity(g)[0] == kappa
             for k in range(-2, n + 2):
                 assert connectivity_at_most(g, k) == (kappa <= k)
-            for k in range(1, n + 2):
-                assert is_k_connected(g, k) == (n > k and kappa >= k)
             checked += 1
         assert checked == 1252
 
@@ -217,26 +213,6 @@ class TestSubsetRoute:
         # kappa >= 0 for every graph, the disconnected ones included
         for g in (disjoint_union(complete(2), complete(2)), complete(1), path(4)):
             assert not connectivity_at_most(g, -1)
-
-
-class TestIsKConnected:
-    def test_complete_clause(self):
-        assert is_k_connected(complete(3), 2)
-        assert is_k_connected(complete(2), 1)
-        assert not is_k_connected(path(3), 2)
-
-    def test_path_not_2_connected(self):
-        assert not is_k_connected(path(4), 2)
-        assert is_k_connected(path(4), 1)
-
-    def test_extremal_threshold(self):
-        g = extremal_graph(ExtremalParams(8, 3, 4))
-        assert is_k_connected(g, 3)
-        assert not is_k_connected(g, 4)
-
-    def test_rejects_k0(self):
-        with pytest.raises(ValueError):
-            is_k_connected(complete(3), 0)
 
 
 class TestMengerConsistency:
@@ -248,7 +224,7 @@ class TestMengerConsistency:
         while checked < 200:
             g = random_connected_graph(rng, rng.randint(4, 8))
             pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
-                     if not g.has_edge(u, v)]
+                     if not g.rows[u] >> v & 1]
             if not pairs:
                 continue
             u, v = pairs[rng.randrange(len(pairs))]
@@ -270,12 +246,12 @@ class TestMengerConsistency:
 def to_networkx(g):
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
-    h.add_edges_from((u, v) for u in range(g.n) for v in g.neighbors(u) if u < v)
+    h.add_edges_from(g.edges())
     return h
 
 
 def neighbour_lists(g):
-    return [g.neighbors(v) for v in range(g.n)]
+    return [[u for u in range(g.n) if g.rows[v] >> u & 1] for v in range(g.n)]
 
 
 def residual_cut(parent):
@@ -322,7 +298,7 @@ class TestSplitMaxflow:
         while checked < 60:
             g = random_graph(rng, rng.randint(9, 16), p)
             pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
-                     if not g.has_edge(u, v)]
+                     if not g.rows[u] >> v & 1]
             if not pairs:
                 continue
             s, t = pairs[rng.randrange(len(pairs))]
@@ -338,7 +314,7 @@ class TestSplitMaxflow:
         for _ in range(40):
             g = random_connected_graph(rng, rng.randint(4, 14), rng.choice([0.3, 0.5, 0.7]))
             pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
-                     if not g.has_edge(u, v)]
+                     if not g.rows[u] >> v & 1]
             if not pairs:
                 continue
             s, t = pairs[rng.randrange(len(pairs))]
@@ -360,7 +336,7 @@ class TestDegreeBounds:
         low = high = checked = 0
         for h in nx.graph_atlas_g()[1:]:  # the first atlas graph has no vertices
             g = from_edges(h.number_of_nodes(), list(h.edges()))
-            if g.is_complete() or not is_connected(g):
+            if g.edge_count == g.n * (g.n - 1) // 2 or not is_connected(g):
                 continue
             kappa, delta = vertex_connectivity(g)[0], min_degree(g)
             assert 2 * delta + 2 - g.n <= kappa <= delta

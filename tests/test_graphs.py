@@ -4,7 +4,6 @@ g6_decode is checked against a per-bit decoder kept here as the
 reference, and against networkx's graph6 codec.
 """
 
-import itertools
 import random
 
 import networkx as nx
@@ -12,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import path, random_graph, star
 from specrad.graphs import (
     ExtremalParams,
     Graph,
@@ -25,20 +25,12 @@ from specrad.graphs import (
     is_connected,
     join,
     min_degree,
-    path,
-    shiu_graph,
-    star,
 )
 
 
 def brute_force_degrees(g):
-    # independent of the bitset plumbing: count via has_edge
-    return tuple(sum(g.has_edge(i, j) for j in range(g.n) if j != i) for i in range(g.n))
-
-
-def random_graph(rng, n, p=0.5):
-    return from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
-                          if rng.random() < p])
+    # independent of bit_count: row sums of the dense adjacency matrix
+    return tuple(int(d) for d in g.adjacency_matrix().sum(axis=1))
 
 
 # -- reference: per-bit graph6 decoder ------------------------------------
@@ -179,14 +171,14 @@ class TestExtremalGraph:
                     g = extremal_graph(p)
                     for v in range(n):
                         want = set(range(n)) if v in S else S | (A if v in A else B)
-                        assert set(g.neighbors(v)) == want - {v}, (p, v)
+                        assert {u for u in range(n) if g.rows[v] >> u & 1} == want - {v}, (p, v)
 
     def test_both_cliques_trivial(self):
         # n = k+2, delta = k: K_{k+2} minus one edge
         for k in (1, 2, 3):
             g = extremal_graph(ExtremalParams(k + 2, k, k))
             assert g.edge_count == (k + 2) * (k + 1) // 2 - 1
-            assert not g.has_edge(k, k + 1)
+            assert not g.rows[k] >> (k + 1) & 1
 
     def test_invalid_params_messages(self):
         with pytest.raises(ValueError, match="n - delta - 1"):
@@ -209,26 +201,15 @@ class TestExtremalGraph:
 
 
 class TestShiuGraph:
-    def test_paw_case(self):
-        assert shiu_graph(4, 1) == extremal_graph(ExtremalParams(4, 1, 1))
-
-    def test_complete_case(self):
-        for n in (3, 5, 8):
-            assert shiu_graph(n, n - 1) == complete(n)
-
-    def test_5_2_degrees(self):
-        assert sorted(shiu_graph(5, 2).degrees(), reverse=True) == [4, 4, 3, 3, 2]
-
     def test_matches_extremal_at_delta_k(self):
+        # K_k^n of Shiu, Chan and Chang: K_{n-1} with k of its vertices (S)
+        # joined to one more vertex, which is the delta = k clique join
         for n in range(4, 11):
             for k in range(1, n - 1):
-                assert shiu_graph(n, k) == extremal_graph(ExtremalParams(n, k, k))
-
-    def test_rejects_bad_k(self):
-        with pytest.raises(ValueError):
-            shiu_graph(5, 0)
-        with pytest.raises(ValueError):
-            shiu_graph(5, 5)
+                clique = [v for v in range(n) if v != k]  # S = 0..k-1 and B
+                edges = [(u, v) for u in clique for v in clique if u < v]
+                edges += [(k, s) for s in range(k)]
+                assert from_edges(n, edges) == extremal_graph(ExtremalParams(n, k, k))
 
 
 class TestGraph:
@@ -362,18 +343,12 @@ def extremal_params(draw, max_n=40):
     return ExtremalParams(n, k, draw(st.integers(k, n - 2)))
 
 
-@st.composite
-def shiu_args(draw, max_n=40):
-    n = draw(st.integers(2, max_n))
-    return n, draw(st.integers(1, n - 1))
-
-
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(graphs(), graphs(max_n=20), extremal_params(), shiu_args())
-@example(path(62), path(63), ExtremalParams(3, 1, 1), (3, 2))
-def test_constructors_build_valid_graphs(g, h, p, nk):
+@given(graphs(), graphs(max_n=20), extremal_params())
+@example(path(62), path(63), ExtremalParams(3, 1, 1))
+def test_constructors_build_valid_graphs(g, h, p):
     for built in (g, h, join(g, h), join(h, g), disjoint_union(g, h), disjoint_union(h, g),
-                  extremal_graph(p), shiu_graph(*nk), g6_decode(g6_encode(g))):
+                  extremal_graph(p), g6_decode(g6_encode(g))):
         built.validate()
     assert g6_decode(g6_encode(g)) == g
 
