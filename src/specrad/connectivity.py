@@ -24,11 +24,14 @@ minimum-degree vertex v separates v from its non-neighbours.  From below,
 kappa(G) >= 2*delta + 2 - n: a separator S with sides A and B leaves
 each vertex of A adjacent only within A u S, so delta <= |A| - 1 + |S|,
 likewise for B, and the sum gives 2*delta <= n + |S| - 2.  Only k in
-[2*delta + 2 - n, delta - 1] reaches the k-set search: a separator of
+[2*delta + 2 - n, delta - 1] reaches the k-set search.  A separator of
 fewer than k vertices extends to one of exactly k (keep one vertex in
-each of two components), so it tries k-sets alone, C(n, k) bitset BFS
-calls of :mod:`specrad.graphs`.  It agrees with the max-flow route
-(tested) and beats it on the census graphs only for small n and k.
+each of two components), and every separator holds U, so the search is
+False at once when |U| > k and otherwise tries only the k-sets that
+contain U: U joined with each (k - |U|)-subset of V - U, that is
+C(n - |U|, k - |U|) bitset BFS calls of :mod:`specrad.graphs`.  It
+agrees with the max-flow route (tested) and beats it on the census
+graphs only for small n and k.
 """
 
 from __future__ import annotations
@@ -142,6 +145,12 @@ def _split_maxflow(nbrs, s, t, cap_limit):
         flow += 1
 
 
+def _universal_mask(rows):
+    """Bitmask of the vertices of degree n-1, which lie in every separator."""
+    top = len(rows) - 1
+    return sum([1 << v for v, r in enumerate(rows) if r.bit_count() == top])
+
+
 def _pair_family(rows, nbrs):
     """Even-Tarjan candidate pairs covering some minimum cut."""
     u = min(range(len(rows)), key=lambda v: rows[v].bit_count())
@@ -168,16 +177,18 @@ def vertex_connectivity(g):
     """
     n = g.n
     rows = g.rows
-    universal = frozenset(v for v in range(n) if rows[v].bit_count() == n - 1)
-    if len(universal) == n:
+    full = (1 << n) - 1
+    universal = _universal_mask(rows)
+    if universal == full:
         return n - 1, None
     if not is_connected(g):
         return 0, CutWitness(frozenset(), tuple(components(g)))
-    full = (1 << n) - 1
-    rest = full & ~sum(1 << v for v in universal)
+    rest = full & ~universal
     # with U empty, G - U = G, which the test above found connected
     if universal and _component_mask(rows, rest, rest & -rest) != rest:
-        return len(universal), CutWitness(universal, tuple(_components_within(rows, rest)))
+        return (universal.bit_count(),
+                CutWitness(frozenset(_mask_vertices(universal)),
+                           tuple(_components_within(rows, rest))))
     # the minimum-degree vertex and its non-neighbours are the same in
     # G and G - U, so the pair family needs only U dropped from the lists
     nbrs = [list(_mask_vertices(r & rest)) for r in rows]
@@ -192,12 +203,12 @@ def vertex_connectivity(g):
             best_reach = reach
     assert best_reach is not None, "non-complete connected graph must have a cut pair"
     # v is cut when the residual network reaches v_in but not v_out
-    cut = frozenset(v for v in range(n)
-                    if best_reach[2 * v] >= 0 and best_reach[2 * v + 1] < 0)
-    assert len(cut) == best, "residual cut size must equal the max flow"
+    cut = sum(1 << v for v in range(n)
+              if best_reach[2 * v] >= 0 and best_reach[2 * v + 1] < 0)
+    assert cut.bit_count() == best, "residual cut size must equal the max flow"
     cut |= universal
-    rest = full & ~sum(1 << v for v in cut)
-    return len(cut), CutWitness(cut, tuple(_components_within(rows, rest)))
+    return cut.bit_count(), CutWitness(frozenset(_mask_vertices(cut)),
+                                       tuple(_components_within(rows, full & ~cut)))
 
 
 def connectivity_at_most(g, k):
@@ -207,8 +218,11 @@ def connectivity_at_most(g, k):
     neighbourhood of a minimum-degree vertex separates it (kappa <= delta);
     k < 2*delta + 2 - n is False, since a separator S with sides A and B
     has delta <= |A| - 1 + |S| and delta <= |B| - 1 + |S|, so
-    kappa >= 2*delta + 2 - n.  Any other k tries every set of exactly k
-    vertices, C(n, k) bitset BFS calls.  Equivalent to
+    kappa >= 2*delta + 2 - n.  Any other k needs the universal vertices
+    U, which lie in every separator: it is False when |U| > k, and
+    otherwise tries only the sets of exactly k vertices that contain U,
+    C(n - |U|, k - |U|) bitset BFS calls.  Exactly k suffices, since a
+    smaller separator grows to k vertices.  Equivalent to
     vertex_connectivity(g)[0] <= k.
     """
     if k < 0:
@@ -223,11 +237,16 @@ def connectivity_at_most(g, k):
         return True
     if k < 2 * delta + 2 - n:
         return False
-    full = (1 << n) - 1
-    for combo in combinations(range(n), k):
-        avail = full
-        for v in combo:
-            avail &= ~(1 << v)
+    # U only now: the exits above settle most census calls without it
+    universal = _universal_mask(rows)
+    size = universal.bit_count()
+    if size > k:
+        return False  # kappa >= |U|
+    rest = ((1 << n) - 1) & ~universal
+    if size == k:  # U is the one candidate, so build no candidate list
+        return _component_mask(rows, rest, rest & -rest) != rest
+    for combo in combinations([1 << v for v in range(n) if rest >> v & 1], k - size):
+        avail = rest - sum(combo)
         if _component_mask(rows, avail, avail & -avail) != avail:
             return True
     return False

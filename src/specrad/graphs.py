@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "Graph",
     "ExtremalParams",
@@ -74,7 +72,13 @@ class Graph:
                 m ^= b
 
     def adjacency_matrix(self):
-        """Dense adjacency matrix as a numpy array."""
+        """Dense adjacency matrix as a numpy array.
+
+        numpy is imported here, not at module level, so the graph and
+        connectivity layers import without it.
+        """
+        import numpy as np
+
         nbytes = (self.n + 7) // 8
         raw = b"".join(r.to_bytes(nbytes, "little") for r in self.rows)
         bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(self.n, nbytes),

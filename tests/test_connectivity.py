@@ -109,6 +109,8 @@ class TestVertexConnectivity:
             if w is not None:
                 assert len(w.cut) == k
                 w.check(g)
+                # the universal vertices lie in every separator
+                assert {v for v, d in h.degree() if d == g.n - 1} <= w.cut
             checked += 1
         assert checked == 996
 
@@ -329,6 +331,20 @@ class TestSplitMaxflow:
                     assert flow == true and residual_cut(parent) == uncapped_cut
 
 
+@pytest.fixture
+def bfs_calls(monkeypatch):
+    """Counts the bitset BFS calls that the k-set search makes."""
+    calls = []
+    real = connectivity._component_mask
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(connectivity, "_component_mask", counting)
+    return calls
+
+
 class TestDegreeBounds:
     def test_tight_on_atlas(self):
         # 2*delta + 2 - n <= kappa <= delta on every connected, non-complete
@@ -348,19 +364,34 @@ class TestDegreeBounds:
 
     @pytest.mark.parametrize("k, searched", [(0, False), (1, False), (2, True),
                                              (3, False), (4, False)])
-    def test_search_runs_only_between_the_bounds(self, monkeypatch, k, searched):
-        # K_{3,3}: delta = 3 and 2*delta + 2 - n = 2, so only k = 2 is searched
-        calls = []
-        real = connectivity._component_mask
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(connectivity, "_component_mask", counting)
+    def test_search_runs_only_between_the_bounds(self, bfs_calls, k, searched):
+        # K_{3,3}: delta = 3 and 2*delta + 2 - n = 2, so only k = 2 is
+        # searched; no vertex is universal, so it tries all C(6, 2) pairs
         g = from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)])
         assert connectivity_at_most(g, k) == (k >= 3)
-        assert bool(calls) == searched
+        assert len(bfs_calls) == (15 if searched else 0)
+
+    JOINS = {
+        # n = 11, delta = 4, kappa = 3: the bounds leave k = 0..3 to the search
+        "K3+4K2": join(complete(3), disjoint_union(
+            disjoint_union(complete(2), complete(2)), disjoint_union(complete(2), complete(2)))),
+        # n = 8, delta = 4, kappa = 4: the bounds leave k = 2, 3
+        "K2+C6": join(complete(2), cycle(6)),
+    }
+
+    @pytest.mark.parametrize("name, k, calls", [
+        # |U| = 3 > k: False with no BFS; trying every k-set takes 1, 11, 55
+        ("K3+4K2", 0, 0), ("K3+4K2", 1, 0), ("K3+4K2", 2, 0),
+        # U itself is the one 3-set tried, and it separates
+        ("K3+4K2", 3, 1),
+        # U, then U with each of the 6 cycle vertices; every k-set: 28, 56
+        ("K2+C6", 2, 1), ("K2+C6", 3, 6),
+    ])
+    def test_search_tries_only_the_sets_holding_the_universal_vertices(
+            self, bfs_calls, name, k, calls):
+        g = self.JOINS[name]
+        assert connectivity_at_most(g, k) == (nx.node_connectivity(to_networkx(g)) <= k)
+        assert len(bfs_calls) == calls
 
 
 @st.composite
@@ -377,6 +408,7 @@ def small_graphs(draw, max_n=12):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(small_graphs())
 @example(complete(12))
+@example(join(complete(2), cycle(6)))
 @example(from_edges(12, [(i, j) for i in range(12) for j in range(i + 2, 12)]))  # P_12 complement
 def test_decision_matches_vertex_connectivity(g):
     # complements of sparse draws are dense graphs, where the lower bound acts

@@ -52,6 +52,12 @@ def test_exactroots_needs_no_numpy():
     _import_blocking(("numpy",), ("specrad.exactroots",))
 
 
+def test_graphs_and_connectivity_need_no_numpy():
+    # both work on bitset rows; only Graph.adjacency_matrix reaches numpy,
+    # and only when it is called
+    _import_blocking(("numpy",), ("specrad.graphs", "specrad.connectivity"))
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
 def test_all_lists_the_public_definitions(path):
     tree = ast.parse(path.read_text())
