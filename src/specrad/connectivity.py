@@ -26,11 +26,16 @@ each vertex of A adjacent only within A u S, so delta <= |A| - 1 + |S|,
 likewise for B, and the sum gives 2*delta <= n + |S| - 2.  Only k in
 [2*delta + 2 - n, delta - 1] reaches the k-set search.  A separator of
 fewer than k vertices extends to one of exactly k (keep one vertex in
-each of two components), and every separator holds U, so the search is
-False at once when |U| > k and otherwise tries only the k-sets that
-contain U: U joined with each (k - |U|)-subset of V - U, that is
-C(n - |U|, k - |U|) bitset BFS calls of :mod:`specrad.graphs`.  It
-agrees with the max-flow route (tested) and beats it on the census
+each of two components), so the search looks for separators of exactly
+k vertices.  Such an S forces its vertices of high degree: a vertex of
+A has no neighbour in B, and |B| >= delta - k + 1, so every vertex of
+degree >= n - delta + k - 1 lies in S.  The search is False at once when
+these forced vertices outnumber k.  They include U (degree n - 1 >=
+n - delta + k - 1, as k < delta), and for k < 2*delta + 2 - n they are
+all of V, which is the lower bound again.  Otherwise it tries only the
+k-sets that contain U: U joined with each (k - |U|)-subset of V - U,
+that is C(n - |U|, k - |U|) bitset BFS calls of :mod:`specrad.graphs`.
+It agrees with the max-flow route (tested) and beats it on the census
 graphs only for small n and k.
 """
 
@@ -218,11 +223,12 @@ def connectivity_at_most(g, k):
     neighbourhood of a minimum-degree vertex separates it (kappa <= delta);
     k < 2*delta + 2 - n is False, since a separator S with sides A and B
     has delta <= |A| - 1 + |S| and delta <= |B| - 1 + |S|, so
-    kappa >= 2*delta + 2 - n.  Any other k needs the universal vertices
-    U, which lie in every separator: it is False when |U| > k, and
-    otherwise tries only the sets of exactly k vertices that contain U,
-    C(n - |U|, k - |U|) bitset BFS calls.  Exactly k suffices, since a
-    smaller separator grows to k vertices.  Equivalent to
+    kappa >= 2*delta + 2 - n.  Any other k is False when more than k
+    vertices have degree >= n - delta + k - 1, since each of them lies in
+    every k-vertex separator; otherwise it tries only the sets of exactly
+    k vertices that contain the universal vertices U, C(n - |U|, k - |U|)
+    bitset BFS calls.  Exactly k suffices, since a smaller separator grows
+    to k vertices.  Equivalent to
     vertex_connectivity(g)[0] <= k.
     """
     if k < 0:
@@ -236,12 +242,16 @@ def connectivity_at_most(g, k):
     if k >= delta:
         return True
     if k < 2 * delta + 2 - n:
+        return False  # the count below says so too, but only after a row scan
+    # every vertex of degree >= n - delta + k - 1 lies in every k-separator;
+    # U is among them, so |U| <= k below
+    top = n - delta + k - 1
+    if sum([r.bit_count() >= top for r in rows]) > k:
         return False
-    # U only now: the exits above settle most census calls without it
+    # the search keeps to the supersets of U; those of all the forced
+    # vertices would prune more (ROADMAP item 8)
     universal = _universal_mask(rows)
     size = universal.bit_count()
-    if size > k:
-        return False  # kappa >= |U|
     rest = ((1 << n) - 1) & ~universal
     if size == k:  # U is the one candidate, so build no candidate list
         return _component_mask(rows, rest, rest & -rest) != rest

@@ -109,8 +109,11 @@ class TestVertexConnectivity:
             if w is not None:
                 assert len(w.cut) == k
                 w.check(g)
-                # the universal vertices lie in every separator
+                # the universal vertices lie in every separator, and so
+                # does every vertex of degree >= n - delta + kappa - 1
                 assert {v for v, d in h.degree() if d == g.n - 1} <= w.cut
+                top = g.n - min_degree(g) + k - 1
+                assert {v for v, d in h.degree() if d >= top} <= w.cut
             checked += 1
         assert checked == 996
 
@@ -380,7 +383,8 @@ class TestDegreeBounds:
     }
 
     @pytest.mark.parametrize("name, k, calls", [
-        # |U| = 3 > k: False with no BFS; trying every k-set takes 1, 11, 55
+        # the 3 universal vertices are forced into every k-set and
+        # outnumber k: False with no BFS; trying every k-set takes 1, 11, 55
         ("K3+4K2", 0, 0), ("K3+4K2", 1, 0), ("K3+4K2", 2, 0),
         # U itself is the one 3-set tried, and it separates
         ("K3+4K2", 3, 1),
@@ -390,6 +394,30 @@ class TestDegreeBounds:
     def test_search_tries_only_the_sets_holding_the_universal_vertices(
             self, bfs_calls, name, k, calls):
         g = self.JOINS[name]
+        assert connectivity_at_most(g, k) == (nx.node_connectivity(to_networkx(g)) <= k)
+        assert len(bfs_calls) == calls
+
+    FORCED = {
+        # K_{2,3} with an edge in the 3-side: n = 5, delta = 2, kappa = 2;
+        # at k = 1 the four vertices of degree >= 3 must all be in the cut
+        "K23+e": from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 4)]),
+        # P_4: n = 4, delta = 1; at k = 0 both inner vertices are forced
+        "P4": path(4),
+        # 2K_3: n = 6, delta = 2; at k = 0 no vertex has degree >= 3, and
+        # the one BFS finds the graph disconnected
+        "2K3": disjoint_union(complete(3), complete(3)),
+    }
+
+    @pytest.mark.parametrize("name, k, calls", [
+        # no vertex is universal, so the search over the supersets of U
+        # would take C(5, 1) = 5 and 1 BFS calls
+        ("K23+e", 1, 0), ("P4", 0, 0),
+        ("2K3", 0, 1),
+    ])
+    def test_forced_vertices_outnumbering_k_settle_without_search(
+            self, bfs_calls, name, k, calls):
+        # a vertex of degree >= n - delta + k - 1 lies in every k-separator
+        g = self.FORCED[name]
         assert connectivity_at_most(g, k) == (nx.node_connectivity(to_networkx(g)) <= k)
         assert len(bfs_calls) == calls
 
