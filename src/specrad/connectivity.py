@@ -16,26 +16,25 @@ vertex outside a separator S would connect all of G - S.  On a clique
 join K_k + (K_a u K_b), G - U is disconnected, so U is the cut and no
 flow runs at all.
 
-:func:`connectivity_at_most` decides kappa(G) <= k for k <= n-2 from
-the minimum degree delta where it can.  Such a G is not complete, since
-kappa(K_n) = n-1, so delta < n-1.  From above, kappa(G) <= delta
-(Whitney, Amer. J. Math. 54, 1932): the neighbourhood of a
-minimum-degree vertex v separates v from its non-neighbours.  From below,
-kappa(G) >= 2*delta + 2 - n: a separator S with sides A and B leaves
-each vertex of A adjacent only within A u S, so delta <= |A| - 1 + |S|,
-likewise for B, and the sum gives 2*delta <= n + |S| - 2.  Only k in
-[2*delta + 2 - n, delta - 1] reaches the k-set search.  A separator of
-fewer than k vertices extends to one of exactly k (keep one vertex in
-each of two components), so the search looks for separators of exactly
-k vertices.  Such an S forces its vertices of high degree: a vertex of
-A has no neighbour in B, and |B| >= delta - k + 1, so every vertex of
-degree >= n - delta + k - 1 lies in S.  The search is False at once when
-these forced vertices outnumber k.  They include U (degree n - 1 >=
-n - delta + k - 1, as k < delta), and for k < 2*delta + 2 - n they are
-all of V, which is the lower bound again.  Otherwise it tries only the
-k-sets that contain U: U joined with each (k - |U|)-subset of V - U,
-that is C(n - |U|, k - |U|) bitset BFS calls of :mod:`specrad.graphs`.
-It agrees with the max-flow route (tested) and beats it on the census
+:func:`connectivity_at_most` decides kappa(G) <= k from the minimum
+degree delta and one set of forced vertices.  From above, kappa(G) <=
+delta for every graph (Whitney, Amer. J. Math. 54, 1932): the
+neighbourhood of a minimum-degree vertex v separates v from its
+non-neighbours, and kappa(K_n) = delta = n - 1.  So k >= delta is True,
+and otherwise k < delta <= n - 1.  Then a separator of fewer than k
+vertices extends to one of exactly k (keep one vertex in each of two
+components), so kappa(G) <= k if and only if some k-set S separates.
+Each side A of such an S leaves its vertices adjacent only within
+A u S, so delta <= |A| - 1 + k and every side has at least
+delta - k + 1 vertices.  A vertex outside S misses the other side, so
+its degree is at most n - 1 - (delta - k + 1): every vertex of degree
+>= n - delta + k - 1 is forced into S.  More than k forced vertices
+give False (so does every k < 0, as |F| >= 0); for
+k < 2*delta + 2 - n all n are forced, which is the lower bound
+kappa(G) >= 2*delta + 2 - n.  Otherwise the search tries the forced set
+F joined with each (k - |F|)-subset of V - F, that is
+C(n - |F|, k - |F|) bitset BFS calls of :mod:`specrad.graphs`.  It
+agrees with the max-flow route (tested) and beats it on the census
 graphs only for small n and k.
 """
 
@@ -150,12 +149,6 @@ def _split_maxflow(nbrs, s, t, cap_limit):
         flow += 1
 
 
-def _universal_mask(rows):
-    """Bitmask of the vertices of degree n-1, which lie in every separator."""
-    top = len(rows) - 1
-    return sum([1 << v for v, r in enumerate(rows) if r.bit_count() == top])
-
-
 def _pair_family(rows, nbrs):
     """Even-Tarjan candidate pairs covering some minimum cut."""
     u = min(range(len(rows)), key=lambda v: rows[v].bit_count())
@@ -183,7 +176,7 @@ def vertex_connectivity(g):
     n = g.n
     rows = g.rows
     full = (1 << n) - 1
-    universal = _universal_mask(rows)
+    universal = sum([1 << v for v, r in enumerate(rows) if r.bit_count() == n - 1])
     if universal == full:
         return n - 1, None
     if not is_connected(g):
@@ -217,43 +210,33 @@ def vertex_connectivity(g):
 
 
 def connectivity_at_most(g, k):
-    """Decide kappa(G) <= k, from the minimum degree delta where it can.
+    """Decide kappa(G) <= k, from the minimum degree delta and the forced set.
 
-    For k <= n-2: k >= delta is True, since G is not complete and the
-    neighbourhood of a minimum-degree vertex separates it (kappa <= delta);
-    k < 2*delta + 2 - n is False, since a separator S with sides A and B
-    has delta <= |A| - 1 + |S| and delta <= |B| - 1 + |S|, so
-    kappa >= 2*delta + 2 - n.  Any other k is False when more than k
-    vertices have degree >= n - delta + k - 1, since each of them lies in
-    every k-vertex separator; otherwise it tries only the sets of exactly
-    k vertices that contain the universal vertices U, C(n - |U|, k - |U|)
-    bitset BFS calls.  Exactly k suffices, since a smaller separator grows
-    to k vertices.  Equivalent to
+    k >= delta is True, since kappa <= delta (Whitney).  Otherwise
+    k <= n - 2, so kappa <= k if and only if some set of exactly k
+    vertices separates (a smaller separator grows to k vertices), and
+    each side of such a set has at least delta - k + 1 vertices.  Hence
+    every vertex of degree >= n - delta + k - 1 lies in it: more than k
+    such forced vertices give False, and otherwise the search tries the
+    forced set F joined with each (k - |F|)-subset of the other vertices,
+    C(n - |F|, k - |F|) bitset BFS calls.  Equivalent to
     vertex_connectivity(g)[0] <= k.
     """
-    if k < 0:
-        return False  # kappa >= 0 > k
-    n = g.n
-    if k >= n - 1:
-        return True
     rows = g.rows
     # inline, not graphs.min_degree: a traced scan gets no extra span per call
     delta = min(map(int.bit_count, rows))
     if k >= delta:
         return True
+    n = g.n
     if k < 2 * delta + 2 - n:
-        return False  # the count below says so too, but only after a row scan
-    # every vertex of degree >= n - delta + k - 1 lies in every k-separator;
-    # U is among them, so |U| <= k below
+        return False  # all n vertices are forced below, but only after a row scan
     top = n - delta + k - 1
-    if sum([r.bit_count() >= top for r in rows]) > k:
+    forced = sum([1 << v for v, r in enumerate(rows) if r.bit_count() >= top])
+    size = forced.bit_count()
+    if size > k:
         return False
-    # the search keeps to the supersets of U; those of all the forced
-    # vertices would prune more (ROADMAP item 8)
-    universal = _universal_mask(rows)
-    size = universal.bit_count()
-    rest = ((1 << n) - 1) & ~universal
-    if size == k:  # U is the one candidate, so build no candidate list
+    rest = ((1 << n) - 1) & ~forced
+    if size == k:  # F is the one candidate, so build no candidate list
         return _component_mask(rows, rest, rest & -rest) != rest
     for combo in combinations([1 << v for v in range(n) if rest >> v & 1], k - size):
         avail = rest - sum(combo)

@@ -271,10 +271,10 @@ def _seeded_bracket(p, seed):
     which widening cannot cure.
     """
     scale = 1 << SEED_BITS
-    scaled = seed * scale
-    if not math.isfinite(scaled):
+    try:
+        base = math.floor(float(seed) * scale)
+    except (OverflowError, ValueError):  # a seed beyond float range, inf or NaN
         return None
-    base = math.floor(scaled)
     hi = next((base + h for h in SEED_REACH if _shift_variations(p, base + h, scale) == 0), None)
     if hi is None:
         return None

@@ -127,11 +127,17 @@ def perron_rho_batch(mats):
     symmetric matrix is its spectral radius.  LAPACK runs on each matrix
     on its own, so per-graph results do not depend on how the batch was
     grouped -- the property the census relies on for shard determinism.
-    Entries must be finite: LAPACK turns NaN into a plausible radius.
+    Entries must be finite, since LAPACK turns NaN into a plausible
+    radius, and each matrix symmetric, since eigvalsh reads only its
+    lower triangle.
     """
     a = np.asarray(mats, dtype=float)
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or not a.shape[1]:
+        raise ValueError(f"perron_rho_batch needs a (B, n, n) stack, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("perron_rho_batch needs finite entries")
+    if not np.array_equal(a, a.transpose(0, 2, 1)):
+        raise ValueError("perron_rho_batch needs symmetric matrices")
     return np.linalg.eigvalsh(a)[:, -1]
 
 

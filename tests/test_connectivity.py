@@ -374,12 +374,16 @@ class TestDegreeBounds:
         assert connectivity_at_most(g, k) == (k >= 3)
         assert len(bfs_calls) == (15 if searched else 0)
 
-    JOINS = {
+    SEARCHED = {
         # n = 11, delta = 4, kappa = 3: the bounds leave k = 0..3 to the search
         "K3+4K2": join(complete(3), disjoint_union(
             disjoint_union(complete(2), complete(2)), disjoint_union(complete(2), complete(2)))),
         # n = 8, delta = 4, kappa = 4: the bounds leave k = 2, 3
         "K2+C6": join(complete(2), cycle(6)),
+        # an atlas graph: n = 6, delta = 2, kappa = 2, and vertex 2 has
+        # degree 4 = n - delta + 1 - 1 but is not universal
+        "atlas6": from_edges(6, [(0, 1), (0, 5), (1, 2), (2, 3), (2, 4), (2, 5),
+                                 (3, 4), (4, 5)]),
     }
 
     @pytest.mark.parametrize("name, k, calls", [
@@ -390,10 +394,14 @@ class TestDegreeBounds:
         ("K3+4K2", 3, 1),
         # U, then U with each of the 6 cycle vertices; every k-set: 28, 56
         ("K2+C6", 2, 1), ("K2+C6", 3, 6),
+        # at k = 1 vertex 2 alone is forced, and it is the one set tried;
+        # trying every 1-set, or every superset of the (empty) universal
+        # set, would take 6
+        ("atlas6", 1, 1),
     ])
-    def test_search_tries_only_the_sets_holding_the_universal_vertices(
+    def test_search_tries_only_the_sets_holding_the_forced_vertices(
             self, bfs_calls, name, k, calls):
-        g = self.JOINS[name]
+        g = self.SEARCHED[name]
         assert connectivity_at_most(g, k) == (nx.node_connectivity(to_networkx(g)) <= k)
         assert len(bfs_calls) == calls
 
@@ -409,8 +417,8 @@ class TestDegreeBounds:
     }
 
     @pytest.mark.parametrize("name, k, calls", [
-        # no vertex is universal, so the search over the supersets of U
-        # would take C(5, 1) = 5 and 1 BFS calls
+        # no vertex is universal: trying every k-set, or every superset of
+        # the universal vertices, would take C(5, 1) = 5 and 1 BFS calls
         ("K23+e", 1, 0), ("P4", 0, 0),
         ("2K3", 0, 1),
     ])

@@ -142,6 +142,15 @@ def test_wrong_seed_reaches_fallback(sturm_calls, seed):
     assert lo < Fraction(2.170086486626034) < hi
 
 
+def test_integer_seed_beyond_float_range_reaches_fallback(sturm_calls):
+    # 10**400 fits no float, so it gives no bracket and Sturm takes over
+    loc = isolate_largest_root((-2, 0, 1), seed=10**400)
+    assert sturm_calls
+    assert loc == isolate_largest_root((-2, 0, 1))
+    assert compare_largest_roots((-2, 0, 1), (-3, 0, 1), seeds=(10**400, None)) == -1
+    assert compare_largest_roots((-3, 0, 1), (-2, 0, 1), seeds=(None, 10**400)) == 1
+
+
 def test_double_top_root_reaches_fallback(sturm_calls):
     # (x-2)^2 (x+1): V just below 2 is 2, so no bracket certifies
     loc = isolate_largest_root((4, 0, -3, 1), seed=2.0)

@@ -344,6 +344,17 @@ class TestBatch:
             with pytest.raises(ValueError, match="finite"):
                 perron_rho_batch(np.array([[[bad, 0.0], [0.0, 0.0]]]))
 
+    def test_rejects_what_is_not_a_symmetric_stack(self):
+        for bad in (complete(3).adjacency_matrix(), np.zeros(3), np.zeros((2, 2, 3)),
+                    np.zeros((1, 0, 0)), np.zeros((1, 2, 2, 2))):
+            with pytest.raises(ValueError, match="stack"):
+                perron_rho_batch(bad)
+        # eigvalsh would read 0 from the lower triangle of [[0, 1], [0, 0]]
+        with pytest.raises(ValueError, match="symmetric"):
+            perron_rho_batch(np.array([[[0.0, 1.0], [0.0, 0.0]]]))
+        with pytest.raises(ValueError, match="symmetric"):
+            perron_rho_batch(np.stack([cycle(4).adjacency_matrix(), np.triu(np.ones((4, 4)), 1)]))
+
 
 class TestJacobi:
     """The Jacobi reference against LAPACK's eigvalsh and known spectra."""
