@@ -147,23 +147,17 @@ class CubicCoeffs:
 
 
 def cubic_coefficients(p: ExtremalParams):
-    """The closed-form cubic whose largest root is rho of the clique-join graph.
+    """The cubic whose largest root is rho of the clique-join graph.
 
-    c2 = 3-n,
-    c1 = n*delta - delta^2 - n - k*n + k + k*delta + 2 - 2*delta,
-    c0 = k*n*delta + k^2 + n*delta + k^2*delta - k*delta - k^2*n
-         - k*delta^2 - 2*delta - delta^2.
+    With block sizes (k, a, b) = (k, delta-k+1, n-delta-1) and n = k+a+b,
+    f(x) = x^3 + (3-n) x^2 + (3-2n+ab) x + (1-n+ab(k+1)).
 
     Tested against, not assumed equal to, det(xI - Q) of the three-block
     quotient; a mismatch there would be a finding, not a rounding issue.
     """
-    p.validate()
-    n, k, d = p.n, p.k, p.delta
-    c2 = 3 - n
-    c1 = n * d - d * d - n - k * n + k + k * d + 2 - 2 * d
-    c0 = (k * n * d + k * k + n * d + k * k * d - k * d
-          - k * k * n - k * d * d - 2 * d - d * d)
-    return CubicCoeffs(c2, c1, c0)
+    k, a, b = p.validate().block_sizes
+    n = p.n
+    return CubicCoeffs(3 - n, 3 - 2 * n + a * b, 1 - n + a * b * (k + 1))
 
 
 def largest_cubic_root(c: CubicCoeffs):
@@ -172,9 +166,9 @@ def largest_cubic_root(c: CubicCoeffs):
     The generic certified root of :func:`exactroots.largest_real_root`:
     an integer root is proved largest exactly, otherwise a float seed's
     bracket is certified by Descartes' rule of signs (Sturm bisection
-    only if that fails) and refined by exact sign bisection.
+    only if that fails) and refined by exact sign bisection to 2^-42.
     """
-    return exactroots.largest_real_root(c.as_poly(), 1e-12)
+    return exactroots.largest_real_root(c.as_poly())
 
 
 def _symmetrized(qm: QuotientMatrix):

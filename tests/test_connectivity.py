@@ -178,6 +178,10 @@ class TestCutWitness:
         with pytest.raises(AssertionError, match="not the components"):
             CutWitness(frozenset({1, 3}), ({0, 2}, {4})).check(path(5))
 
+    def test_rejects_single_component(self):
+        with pytest.raises(AssertionError, match="at least two components"):
+            CutWitness(frozenset({0}), (frozenset({1, 2}),)).check(path(3))
+
     def test_rejects_cut_outside_graph(self):
         with pytest.raises(AssertionError, match="99 is not a vertex"):
             CutWitness(frozenset({1, 99}), ({0}, {2})).check(path(3))

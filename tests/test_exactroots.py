@@ -130,6 +130,18 @@ def test_seeded_isolation_certifies_without_sturm(sturm_calls):
     assert not sturm_calls
 
 
+def test_seed_off_by_several_steps_certifies(sturm_calls):
+    # seeds 3 and 2^19 steps of the 2^-40 grid away from sqrt(2) and sqrt(3):
+    # the bracket widens past one step and still certifies, with no Sturm chain
+    r2, r3 = 2**0.5, 3**0.5
+    for seed in (r2 + 3 * 2.0**-40, r2 - 3 * 2.0**-40, r2 + 2.0**-21, r2 - 2.0**-21):
+        _, lo, hi, _ = isolate_largest_root((-2, 0, 1), seed=seed)
+        assert lo * lo < 2 < hi * hi
+    assert compare_largest_roots((-2, 0, 1), (-3, 0, 1),
+                                 seeds=(r2 + 3 * 2.0**-40, r3 - 2.0**-21)) == -1
+    assert not sturm_calls
+
+
 @pytest.mark.parametrize("seed", [3.170086486626034, 0.311107817465982, -7.5,
                                   float("nan"), 1e300])
 def test_wrong_seed_reaches_fallback(sturm_calls, seed):
@@ -200,16 +212,19 @@ def test_largest_real_root_double_root_on_top():
     assert largest_real_root((2, -3, 0, 1)) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_largest_real_root_beyond_float_range():
+def test_largest_real_root_beyond_float_range(sturm_calls):
     # numpy cannot take these coefficients as floats; Sturm isolates unseeded
     assert largest_real_root((-2 * 10**400, 10**400)) == pytest.approx(2.0, abs=1e-12)
     # (x - 3)(x^2 + 10^400)
     assert largest_real_root((-3 * 10**400, 10**400, -3, 1)) == pytest.approx(3.0, abs=1e-12)
+    # x - 10^308 fits a float, but Fujiwara's bound 2e308 does not: no seed
+    assert largest_real_root((-(10**308), 1)) == 1e308
+    assert len(sturm_calls) == 3
 
 
-def _unseeded_root(p, abs_tol):
-    """The Sturm-only value largest_real_root must return within abs_tol."""
-    loc = _bisect(isolate_largest_root(p), Fraction(abs_tol) / 4)
+def _unseeded_root(p):
+    """The Sturm-only value largest_real_root must return within 1e-12."""
+    loc = _bisect(isolate_largest_root(p), Fraction(1e-12) / 4)
     return float(loc[1]) if loc[0] == "exact" else float((loc[1] + loc[2]) / 2)
 
 
@@ -221,9 +236,7 @@ def test_newton_seed_misses_below_complex_pair(sturm_calls, no_np_roots, scale):
     # negative real root
     for p in ((0, 101 * scale**2, -20 * scale, 1),
               _poly_mul((scale, 1), (10 * scale**2, -6 * scale, 1))):
-        for abs_tol in (1e-12, 1e-6):
-            got = largest_real_root(p, abs_tol)
-            assert abs(got - _unseeded_root(p, abs_tol)) <= abs_tol
+        assert abs(largest_real_root(p) - _unseeded_root(p)) <= 1e-12
     assert sturm_calls
 
 
@@ -231,7 +244,7 @@ def test_newton_seed_double_irrational_top_root(sturm_calls, no_np_roots):
     # (x^2 - 2)^2: Newton converges to sqrt(2), but a double root has no
     # certifying bracket and is not an integer
     p = (4, 0, -4, 0, 1)
-    assert abs(largest_real_root(p) - _unseeded_root(p, 1e-12)) <= 1e-12
+    assert abs(largest_real_root(p) - _unseeded_root(p)) <= 1e-12
     assert largest_real_root(p) == pytest.approx(2**0.5, abs=1e-12)
     assert sturm_calls
 
@@ -261,12 +274,6 @@ def test_no_real_root_raises():
         compare_largest_roots((), (-2, 0, 1), seeds=(1.0, 1.4))
 
 
-@pytest.mark.parametrize("abs_tol", [0.0, -1.0, float("nan"), float("inf")])
-def test_largest_real_root_rejects_bad_tolerance(abs_tol):
-    with pytest.raises(ValueError, match="abs_tol"):
-        largest_real_root((-2, 0, 1), abs_tol)
-
-
 @st.composite
 def real_rooted_factored(draw):
     """Degree 1-6: linear factors (a x - b), one of them repeated up to three
@@ -284,17 +291,15 @@ def real_rooted_factored(draw):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(real_rooted_factored(), st.sampled_from([1e-12, 1e-6]))
+@given(real_rooted_factored())
 # an integer root just below the largest, nearest to the seed:
 # (x-2)(3x-7) and (x-2)(2x-5), where round(2.5) = 2; and a double root
 # under the top with a complex pair: (x-3)^2 (2x-7) (x^2-6x+10)
-@example((14, -13, 3), 1e-12)
-@example((10, -9, 2), 1e-12)
-@example((-630, 978, -613, 194, -31, 2), 1e-12)
-def test_self_seeded_root_agrees_with_unseeded(p, abs_tol):
-    loc = _bisect(isolate_largest_root(p), Fraction(abs_tol) / 4)
-    want = float(loc[1]) if loc[0] == "exact" else float((loc[1] + loc[2]) / 2)
-    assert abs(largest_real_root(p, abs_tol) - want) <= abs_tol
+@example((14, -13, 3))
+@example((10, -9, 2))
+@example((-630, 978, -613, 194, -31, 2))
+def test_self_seeded_root_agrees_with_unseeded(p):
+    assert abs(largest_real_root(p) - _unseeded_root(p)) <= 1e-12
 
 
 def _bisect(loc, width):

@@ -15,6 +15,7 @@ from conftest import path, random_graph, star
 from specrad.graphs import (
     ExtremalParams,
     Graph,
+    _g6_header,
     complete,
     cycle,
     disjoint_union,
@@ -96,6 +97,10 @@ class TestComplete:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             complete(0)
+
+    def test_cycle_rejects_two_vertices(self):
+        with pytest.raises(ValueError, match="cycle needs n >= 3"):
+            cycle(2)
 
 
 class TestJoinAndUnion:
@@ -213,6 +218,12 @@ class TestShiuGraph:
 
 
 class TestGraph:
+    def test_rejects_bad_shape(self):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            Graph(0, ())
+        with pytest.raises(ValueError, match="rows do not match vertex count"):
+            Graph(2, (1,))
+
     def test_list_rows_are_stored_as_tuple(self):
         g, h = Graph(2, [2, 1]), Graph(2, (2, 1))
         assert g == h and hash(g) == hash(h) and g.rows == (2, 1)
@@ -252,6 +263,18 @@ class TestQueries:
         bad = Graph(3, (0b010, 0b000, 0b000))
         with pytest.raises(ValueError, match="asymmetric"):
             bad.validate()
+
+    def test_validate_catches_stray_bits(self):
+        with pytest.raises(ValueError, match="row 0 references vertices >= 2"):
+            Graph(2, (0b100, 0)).validate()
+        with pytest.raises(ValueError, match="self-loop at vertex 0"):
+            Graph(2, (0b1, 0)).validate()
+
+    def test_from_edges_rejects_bad_edges(self):
+        with pytest.raises(ValueError, match=r"edge \(0,3\) out of range for n=3"):
+            from_edges(3, [(0, 3)])
+        with pytest.raises(ValueError, match=r"self-loop \(1,1\) not allowed"):
+            from_edges(3, [(1, 1)])
 
 
 class TestGraph6:
@@ -311,6 +334,11 @@ class TestGraph6:
         for byte in (62, 127):
             with pytest.raises(ValueError, match=f"edge byte {byte} out of range"):
                 g6_decode(bytes([63 + 3, byte]))  # order 3: one edge byte
+
+    def test_header_rejects_order_above_258047(self):
+        # the header alone: g6_encode would build the whole body first
+        with pytest.raises(ValueError, match=r"orders above 258047 not supported \(n=258048\)"):
+            _g6_header(258048)
 
     def test_accepts_str_and_newline(self):
         assert g6_decode("Bw\n") == complete(3)

@@ -578,6 +578,23 @@ class TestExactCompare:
         with pytest.raises(ValueError, match="connected"):
             exact_compare_rho(disjoint_union(complete(2), complete(2)), complete(3))
 
+    def test_rejects_order_above_32(self):
+        with pytest.raises(ValueError, match="capped at n <= 32"):
+            exact_compare_rho(complete(33), complete(33))
+
+    def test_equal_degrees_ordered_by_roots(self, monkeypatch):
+        # degree sequences (1,1,1,2,2,3) skip the screen, and the charpolys
+        # differ, so the root comparison decides: rho 1.90211 < 1.93185
+        calls = []
+        real = exactroots.compare_largest_roots
+        monkeypatch.setattr(exactroots, "compare_largest_roots",
+                            lambda p, q, seeds: calls.append(seeds) or real(p, q, seeds=seeds))
+        g = from_edges(6, [(0, 4), (0, 5), (1, 3), (2, 3), (3, 4)])
+        h = from_edges(6, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 5)])
+        assert exact_compare_rho(g, h) is Ordering.LESS
+        assert exact_compare_rho(h, g) is Ordering.GREATER
+        assert len(calls) == 2
+
     def test_equal_rho_regular_orders(self):
         # circulants C_n(1, 2) are connected and 4-regular, so rho = 4 for every n
         def circulant(n):
