@@ -17,25 +17,41 @@ join K_k + (K_a u K_b), G - U is disconnected, so U is the cut and no
 flow runs at all.
 
 :func:`connectivity_at_most` decides kappa(G) <= k from the minimum
-degree delta and one set of forced vertices.  From above, kappa(G) <=
-delta for every graph (Whitney, Amer. J. Math. 54, 1932): the
-neighbourhood of a minimum-degree vertex v separates v from its
-non-neighbours, and kappa(K_n) = delta = n - 1.  So k >= delta is True,
-and otherwise k < delta <= n - 1.  Then a separator of fewer than k
-vertices extends to one of exactly k (keep one vertex in each of two
-components), so kappa(G) <= k if and only if some k-set S separates.
-Each side A of such an S leaves its vertices adjacent only within
-A u S, so delta <= |A| - 1 + k and every side has at least
-delta - k + 1 vertices.  A vertex outside S misses the other side, so
-its degree is at most n - 1 - (delta - k + 1): every vertex of degree
->= n - delta + k - 1 is forced into S.  More than k forced vertices
-give False (so does every k < 0, as |F| >= 0); for
-k < 2*delta + 2 - n all n are forced, which is the lower bound
-kappa(G) >= 2*delta + 2 - n.  Otherwise the search tries the forced set
-F joined with each (k - |F|)-subset of V - F, that is
-C(n - |F|, k - |F|) bitset BFS calls of :mod:`specrad.graphs`.  It
-agrees with the max-flow route (tested) and beats it on the census
-graphs only for small n and k.
+degree delta and one side-size bound.  From above, kappa(G) <= delta
+for every graph (Whitney, Amer. J. Math. 54, 1932): the neighbourhood
+of a minimum-degree vertex v separates v from its non-neighbours, and
+kappa(K_n) = delta = n - 1.  So k >= delta is True, and otherwise
+k < delta <= n - 1.  Then a separator of fewer than k vertices extends
+to one of exactly k (keep one vertex in each of two components), so
+kappa(G) <= k if and only if some k-set S separates.  Each side A of
+such an S leaves its vertices adjacent only within A u S, so
+delta <= |A| - 1 + k: every side has at least delta - k + 1 vertices,
+and so at most n - delta - 1.  A connected set X outside S lies on one
+side A, and its closed neighbourhood N[X] lies in A u S, so
+|A| >= |N[X]| - k: every connected X with
+|N[X]| > top = n - delta + k - 1 meets S.  Applied to one vertex
+(|N[v]| = deg v + 1), the bound forces every vertex of degree >= top
+into S: more than k such forced vertices give False (so does every
+k < 0, as |F| >= 0), and for k < 2*delta + 2 - n all n are forced,
+which is the lower bound kappa(G) >= 2*delta + 2 - n.  Applied to an
+edge uv (N[{u, v}] = N(u) u N(v)), it makes uv heavy when
+|N(u) u N(v)| > top: every k-separator holds u or v.
+The search tries the forced set F joined with (k - |F|)-subsets of
+V - F that cover the heavy edges of G - F, the bounded vertex-cover
+search tree of Buss and Goldsmith (SIAM J. Comput. 22, 1993): take u,
+or leave u out and take v.  Once every heavy edge is covered, each
+completion of the set costs one bitset BFS of :mod:`specrad.graphs`.
+
+The two routes serve two regimes, and agree (tested).  The k-scan
+(``connectivity_at_most`` for k = 0, 1, ...) serves the census orders
+n <= 10, where it beats max-flow on random G(n, p) at every density
+(0.6 against 3.3 ms per 20 connected G(10, 0.7) graphs; 2-vCPU Xeon,
+Python 3.11).  Max-flow serves the family workload and n > 10.  The
+scan's cost rests on the heavy edges: on G(n, p) it still wins at
+n = 16 (3.0 against 16.9 ms per 20 graphs at p = 0.7), but where no
+edge is heavy, as in regular graphs, it tries every
+(k - |F|)-subset (67.6 against 2.9 ms per 5 connected 6-regular graphs
+on 16 vertices), while the flow stays polynomial.
 """
 
 from __future__ import annotations
@@ -210,17 +226,24 @@ def vertex_connectivity(g):
 
 
 def connectivity_at_most(g, k):
-    """Decide kappa(G) <= k, from the minimum degree delta and the forced set.
+    """Decide kappa(G) <= k, from the minimum degree delta and one bound.
 
     k >= delta is True, since kappa <= delta (Whitney).  Otherwise
-    k <= n - 2, so kappa <= k if and only if some set of exactly k
+    k <= n - 2, so kappa <= k if and only if some set S of exactly k
     vertices separates (a smaller separator grows to k vertices), and
-    each side of such a set has at least delta - k + 1 vertices.  Hence
-    every vertex of degree >= n - delta + k - 1 lies in it: more than k
-    such forced vertices give False, and otherwise the search tries the
-    forced set F joined with each (k - |F|)-subset of the other vertices,
-    C(n - |F|, k - |F|) bitset BFS calls.  Equivalent to
-    vertex_connectivity(g)[0] <= k.
+    each side of such a set has at least delta - k + 1 vertices, so at
+    most n - delta - 1.  A vertex or an edge outside S shares its side
+    with its neighbours outside S, so with top = n - delta + k - 1:
+    - a vertex of degree >= top is forced into S; more than k such
+      forced vertices give False;
+    - an edge uv with |N(u) u N(v)| > top is heavy: S holds u or v.
+    The search tries the forced set F joined with each
+    (k - |F|)-subset of the other vertices that covers the heavy edges
+    (branch on the first uncovered one: take u, or ban u and take v),
+    one bitset BFS per set; a one-pick search skips the heavy edges.
+    Equivalent to vertex_connectivity(g)[0] <= k.  The scan over k is
+    the connectivity route for n <= 10, and max-flow beyond (module
+    docstring).
     """
     rows = g.rows
     # inline, not graphs.min_degree: a traced scan gets no extra span per call
@@ -238,9 +261,37 @@ def connectivity_at_most(g, k):
     rest = ((1 << n) - 1) & ~forced
     if size == k:  # F is the one candidate, so build no candidate list
         return _component_mask(rows, rest, rest & -rest) != rest
-    for combo in combinations([1 << v for v in range(n) if rest >> v & 1], k - size):
-        avail = rest - sum(combo)
-        if _component_mask(rows, avail, avail & -avail) != avail:
+    # one pick must cover every heavy edge, but building them costs such
+    # a search more than the BFS calls they save
+    heavy = [] if k - size == 1 else [
+        (1 << u, 1 << v) for u, v in combinations(_mask_vertices(rest), 2)
+        if rows[u] >> v & 1 and (rows[u] | rows[v]).bit_count() > top]
+    return _cut_within(rows, rest, k - size, heavy)
+
+
+def _cut_within(rows, avail, picks, heavy, start=0, banned=0):
+    """True iff removing `picks` more vertices of avail - banned, covering
+    every heavy edge from ``heavy[start]`` on, disconnects avail.
+
+    ``heavy`` holds single-bit pairs (u, v); an edge is covered once u or
+    v has left avail.  The first uncovered one branches: take u, or ban u
+    and take v, so no set is tried twice.  Once all are covered, each
+    ``picks``-subset of the free vertices costs one bitset BFS.
+    """
+    for i in range(start, len(heavy)):
+        u, v = heavy[i]
+        if avail & u and avail & v:
+            if not picks:
+                return False
+            return ((not banned & u
+                     and _cut_within(rows, avail - u, picks - 1, heavy, i + 1, banned))
+                    or (not banned & v
+                        and _cut_within(rows, avail - v, picks - 1, heavy, i + 1, banned | u)))
+    if not picks:
+        return _component_mask(rows, avail, avail & -avail) != avail
+    free = avail & ~banned
+    for combo in combinations([1 << v for v in range(len(rows)) if free >> v & 1], picks):
+        left = avail - sum(combo)
+        if _component_mask(rows, left, left & -left) != left:
             return True
     return False
-

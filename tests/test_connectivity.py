@@ -1,6 +1,7 @@
 """Vertex connectivity: max-flow route, subset route, witnesses, degree bounds."""
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import networkx as nx
@@ -204,7 +205,7 @@ class TestSubsetRoute:
         # every atlas graph on 1-7 vertices, the disconnected and complete ones
         # included: kappa(G) <= k for every k.
         # On K_n, 2*delta + 2 - n = n > kappa = n - 1: the degree lower bound
-        # may only act for k <= n - 2, after the k >= n - 1 exit
+        # may only act for k <= n - 2, after the Whitney k >= delta exit
         checked = 0
         for h in nx.graph_atlas_g():
             n = h.number_of_nodes()
@@ -373,10 +374,14 @@ class TestDegreeBounds:
                                              (3, False), (4, False)])
     def test_search_runs_only_between_the_bounds(self, bfs_calls, k, searched):
         # K_{3,3}: delta = 3 and 2*delta + 2 - n = 2, so only k = 2 is
-        # searched; no vertex is universal, so it tries all C(6, 2) pairs
+        # searched.  No vertex is forced, but all 9 edges are heavy
+        # (|N(u) u N(v)| = 6 > n - delta + k - 1 = 4), and 2 vertices cover
+        # no 3-edge matching: the search ends before its first BFS, where
+        # trying every pair would take C(6, 2) = 15
         g = from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)])
         assert connectivity_at_most(g, k) == (k >= 3)
-        assert len(bfs_calls) == (15 if searched else 0)
+        assert len(bfs_calls) == 0
+        assert heavy_search(g, k) == ((2, 9) if searched else None)
 
     SEARCHED = {
         # n = 11, delta = 4, kappa = 3: the bounds leave k = 0..3 to the search
@@ -406,6 +411,41 @@ class TestDegreeBounds:
     def test_search_tries_only_the_sets_holding_the_forced_vertices(
             self, bfs_calls, name, k, calls):
         g = self.SEARCHED[name]
+        assert connectivity_at_most(g, k) == (nx.node_connectivity(to_networkx(g)) <= k)
+        assert len(bfs_calls) == calls
+
+    HEAVY = {
+        # a 3-connected cubic graph on 8 vertices plus the edge 3-5: at k = 2,
+        # top = n - delta + k - 1 = 6, no vertex is forced, and only edge 3-4
+        # is heavy (N(3) u N(4) misses vertex 2 alone)
+        "cubic8+e": from_edges(8, [(0, 2), (0, 4), (0, 6), (1, 3), (1, 5), (1, 6), (2, 5),
+                                   (2, 7), (3, 4), (3, 5), (3, 7), (4, 6), (5, 7)]),
+        # the cube Q_3 plus the face diagonal 0-3: at k = 2 the heavy edges
+        # are 0-4 and 3-7, a matching
+        "Q3+diag": from_edges(8, [(u, u ^ b) for u in range(8) for b in (1, 2, 4)
+                                  if u < u ^ b] + [(0, 3)]),
+        # n = 9, delta = 4, kappa = 4: at k = 3, top = 7, vertex 2 (degree 7)
+        # is forced and 0-1 is the one heavy edge of G - 2
+        "forced+heavy": from_edges(9, [(0, 1), (0, 3), (0, 7), (0, 8), (1, 2), (1, 4), (1, 5),
+                                       (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8),
+                                       (3, 5), (3, 8), (4, 6), (4, 7), (5, 6), (7, 8)]),
+    }
+
+    @pytest.mark.parametrize("name, k, calls", [
+        # every 2-separator holds 3 or 4: take 3 and try the 7 others, or
+        # ban 3, take 4 and try the 6 others; C(8, 2) = 28 without the rule
+        ("cubic8+e", 2, 7 + 6),
+        # each heavy edge leaves 2 branches, 2 x 2 sets where C(8, 2) = 28
+        ("Q3+diag", 2, 4),
+        # vertex 2 joined with 0 and one of 7 others, or with 1 and one of
+        # 6; C(8, 2) = 28 supersets of the forced set without the rule
+        ("forced+heavy", 3, 7 + 6),
+    ])
+    def test_search_branches_on_the_heavy_edges(self, bfs_calls, name, k, calls):
+        # an edge uv with |N(u) u N(v)| > n - delta + k - 1 has an end in
+        # every k-separator: otherwise its side would hold more than
+        # n - delta - 1 vertices
+        g = self.HEAVY[name]
         assert connectivity_at_most(g, k) == (nx.node_connectivity(to_networkx(g)) <= k)
         assert len(bfs_calls) == calls
 
@@ -455,3 +495,61 @@ def test_decision_matches_vertex_connectivity(g):
     kappa = vertex_connectivity(g)[0]
     for k in range(-1, g.n + 2):
         assert connectivity_at_most(g, k) == (kappa <= k)
+
+
+@st.composite
+def tight_side_graphs(draw):
+    """Dense graphs on 8-12 vertices where the side-size bound is tight.
+
+    K_s + (K_a u K_b) with a <= b, minus drawn edges that miss the clique
+    side A, relabelled: A keeps degree a - 1 + s, so a side of the cut
+    the join leaves can have just delta - k + 1 vertices, and the other
+    side's edges sit at the heavy threshold.
+    """
+    n = draw(st.integers(8, 12))
+    s = draw(st.integers(2, n - 2))
+    a = draw(st.integers(1, (n - s) // 2))
+    side = [0] * s + [1] * a + [2] * (n - s - a)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if {side[i], side[j]} != {1, 2}]
+    loose = [(i, j) for i, j in pairs if 1 not in (side[i], side[j])]
+    dropped = draw(st.sets(st.sampled_from(loose), max_size=n))
+    label = draw(st.permutations(range(n)))
+    return from_edges(n, [(label[i], label[j]) for i, j in pairs if (i, j) not in dropped])
+
+
+def heavy_search(g, k):
+    """(picks, heavy edges) of the search connectivity_at_most runs at k, or None.
+
+    Recomputed from the definitions: picks = k - |F|, and a heavy edge
+    of G - F has |N(u) u N(v)| > n - delta + k - 1.
+    """
+    h = to_networkx(g)
+    n, delta = g.n, min_degree(g)
+    if not 2 * delta + 2 - n <= k < delta:
+        return None
+    top = n - delta + k - 1
+    forced = {v for v in h if h.degree(v) >= top}
+    heavy = [(u, v) for u, v in h.edges()
+             if not {u, v} & forced and len(set(h[u]) | set(h[v])) > top]
+    return k - len(forced), len(heavy)
+
+
+def test_branching_search_matches_vertex_connectivity():
+    # the draws must reach the search that branches on heavy edges (two
+    # or more picks and at least one heavy edge), with both answers: a
+    # threshold of >= for > or a search without its "ban u, take v"
+    # branch gives a wrong answer on some of them
+    reached = Counter()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(tight_side_graphs())
+    def check(g):
+        kappa = vertex_connectivity(g)[0]
+        for k in range(-1, g.n + 2):
+            assert connectivity_at_most(g, k) == (kappa <= k)
+            search = heavy_search(g, k)
+            if search and search[0] >= 2 and search[1] >= 1:
+                reached[kappa <= k] += 1
+
+    check()
+    assert reached[True] > 0 and reached[False] > 0
