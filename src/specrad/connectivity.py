@@ -7,8 +7,9 @@ Comput. 4, 1975): a minimum-degree vertex against all its
 non-neighbours, then all non-adjacent pairs of its neighbours.  The
 digraph is never built: the neighbour lists are made once per graph, and
 a flow is one list ``pred`` (the vertex feeding each vertex's unit, or
--1), from which the residual network follows.  Removal witnesses are
-recovered from the final residual reachability.
+-1), from which the residual network follows.  A witness is its cut
+alone, read from the final residual reachability; (G, cut) determines
+the sides, and :meth:`CutWitness.check` is one bitset BFS on G - cut.
 
 The flow runs on G - U, where U is the set of universal vertices:
 kappa(G) = |U| + kappa(G - U) for non-complete G, since a universal
@@ -59,13 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import (
-    _component_mask,
-    _components_within,
-    _mask_vertices,
-    components,
-    is_connected,
-)
+from .graphs import _component_mask, _mask_vertices, is_connected
 
 __all__ = [
     "CutWitness",
@@ -76,35 +71,29 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CutWitness:
-    """A disconnecting vertex set with the components it leaves behind.
+    """A vertex set whose removal disconnects the graph.
 
     ``cut`` is empty when the graph was already disconnected.  When
-    produced by :func:`vertex_connectivity`, |cut| = kappa(G).
+    produced by :func:`vertex_connectivity`, |cut| = kappa(G).  The
+    sides are not stored: (G, cut) determines them.
     """
 
     cut: frozenset
-    side_components: tuple
 
     def check(self, g):
         """Verify the witness against g; raises on violation.
 
-        The cut must consist of vertices of g, and the sides must be
-        exactly the components of G - cut, at least two of them, as the
-        bitset BFS of :func:`graphs._components_within` finds them.
+        The cut must consist of vertices of g, and G - cut must have at
+        least two components: one bitset BFS from the lowest remaining
+        vertex must miss part of G - cut.
         """
         for v in self.cut:
             if not (isinstance(v, int) and 0 <= v < g.n):
                 raise AssertionError(f"cut vertex {v!r} is not a vertex of the graph")
-        sides = [frozenset(c) for c in self.side_components]
-        if len(sides) < 2:
-            raise AssertionError("witness must leave at least two components")
-        if not all(sides):
-            raise AssertionError("witness component is empty")
-        if sum(map(len, sides)) != len(frozenset().union(*sides)):
-            raise AssertionError("a vertex is in two witness components")
         rest = ((1 << g.n) - 1) & ~sum(1 << v for v in self.cut)
-        if set(sides) != set(_components_within(g.rows, rest)):
-            raise AssertionError("witness components are not the components of G - cut")
+        # an empty rest is its own component: the search from bit 0 finds 0
+        if _component_mask(g.rows, rest, rest & -rest) == rest:
+            raise AssertionError("witness must leave at least two components")
         return self
 
 
@@ -188,6 +177,7 @@ def vertex_connectivity(g):
     outside S would connect all of G - S.  When G - U is disconnected
     (every clique join K_k + (K_a u K_b)), U is the cut and no flow runs;
     otherwise the max-flow sweep runs on G - U and U joins its cut.
+    Each case picks one cut mask, and the witness is built from it.
     """
     n = g.n
     rows = g.rows
@@ -195,34 +185,32 @@ def vertex_connectivity(g):
     universal = sum([1 << v for v, r in enumerate(rows) if r.bit_count() == n - 1])
     if universal == full:
         return n - 1, None
-    if not is_connected(g):
-        return 0, CutWitness(frozenset(), tuple(components(g)))
     rest = full & ~universal
+    if not is_connected(g):
+        cut = 0
     # with U empty, G - U = G, which the test above found connected
-    if universal and _component_mask(rows, rest, rest & -rest) != rest:
-        return (universal.bit_count(),
-                CutWitness(frozenset(_mask_vertices(universal)),
-                           tuple(_components_within(rows, rest))))
-    # the minimum-degree vertex and its non-neighbours are the same in
-    # G and G - U, so the pair family needs only U dropped from the lists
-    nbrs = [list(_mask_vertices(r & rest)) for r in rows]
-    best = n - 1
-    best_reach = None
-    for s, t in _pair_family(rows, nbrs):
-        # a run that returns flow < best ran to completion, so its
-        # residual reachability gives a minimum s-t cut
-        flow, reach = _split_maxflow(nbrs, s, t, cap_limit=best)
-        if flow < best:
-            best = flow
-            best_reach = reach
-    assert best_reach is not None, "non-complete connected graph must have a cut pair"
-    # v is cut when the residual network reaches v_in but not v_out
-    cut = sum(1 << v for v in range(n)
-              if best_reach[2 * v] >= 0 and best_reach[2 * v + 1] < 0)
-    assert cut.bit_count() == best, "residual cut size must equal the max flow"
-    cut |= universal
-    return cut.bit_count(), CutWitness(frozenset(_mask_vertices(cut)),
-                                       tuple(_components_within(rows, full & ~cut)))
+    elif universal and _component_mask(rows, rest, rest & -rest) != rest:
+        cut = universal
+    else:
+        # the minimum-degree vertex and its non-neighbours are the same in
+        # G and G - U, so the pair family needs only U dropped from the lists
+        nbrs = [list(_mask_vertices(r & rest)) for r in rows]
+        best = n - 1
+        best_reach = None
+        for s, t in _pair_family(rows, nbrs):
+            # a run that returns flow < best ran to completion, so its
+            # residual reachability gives a minimum s-t cut
+            flow, reach = _split_maxflow(nbrs, s, t, cap_limit=best)
+            if flow < best:
+                best = flow
+                best_reach = reach
+        assert best_reach is not None, "non-complete connected graph must have a cut pair"
+        # v is cut when the residual network reaches v_in but not v_out
+        cut = sum(1 << v for v in range(n)
+                  if best_reach[2 * v] >= 0 and best_reach[2 * v + 1] < 0)
+        assert cut.bit_count() == best, "residual cut size must equal the max flow"
+        cut |= universal
+    return cut.bit_count(), CutWitness(frozenset(_mask_vertices(cut)))
 
 
 def connectivity_at_most(g, k):

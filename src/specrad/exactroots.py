@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from math import gcd
+from operator import index
 
 __all__ = [
     "normalize",
@@ -70,8 +71,12 @@ NEWTON_STEPS = 200
 
 
 def normalize(p):
-    """Drop trailing zero coefficients; the zero polynomial becomes ()."""
-    p = tuple(p)
+    """Drop trailing zero coefficients; the zero polynomial becomes ().
+
+    Each coefficient passes through ``operator.index``: numpy integers
+    become Python ints, and a float or Fraction raises TypeError.
+    """
+    p = tuple(map(index, p))
     d = len(p)
     while d and p[d - 1] == 0:
         d -= 1

@@ -24,7 +24,6 @@ __all__ = [
     "extremal_graph",
     "min_degree",
     "is_connected",
-    "components",
     "from_edges",
     "g6_encode",
     "g6_decode",
@@ -47,6 +46,8 @@ class Graph:
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))
+        if not isinstance(self.n, int):
+            raise ValueError(f"vertex count {self.n!r} is not an integer")
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
         if len(self.rows) != self.n:
@@ -238,21 +239,6 @@ def is_connected(g):
     """True iff g has a single connected component (K_1 is connected)."""
     full = (1 << g.n) - 1
     return _component_mask(g.rows, full, 1) == full
-
-
-def components(g):
-    """Vertex sets of the connected components, ordered by smallest vertex."""
-    return _components_within(g.rows, (1 << g.n) - 1)
-
-
-def _components_within(rows, remaining):
-    """Components of the subgraph induced by the vertex mask `remaining`."""
-    out = []
-    while remaining:
-        comp = _component_mask(rows, remaining, remaining & -remaining)
-        out.append(frozenset(_mask_vertices(comp)))
-        remaining &= ~comp
-    return out
 
 
 def _mask_vertices(mask):

@@ -67,7 +67,8 @@ class TestVertexConnectivity:
         g = disjoint_union(complete(2), complete(3))
         k, w = vertex_connectivity(g)
         assert k == 0 and w.cut == frozenset()
-        assert len(w.side_components) == 2
+        assert nx.number_connected_components(
+            to_networkx(g).subgraph(set(range(g.n)) - w.cut)) == 2
         w.check(g)
 
     def test_extremal_cut_is_join_block(self):
@@ -162,30 +163,21 @@ class TestVertexConnectivity:
 
 
 class TestCutWitness:
-    @pytest.mark.parametrize("cut", [frozenset(), frozenset({0})])
-    def test_rejects_empty_component(self, cut):
-        sides = (frozenset(range(4)) - cut, frozenset())
-        with pytest.raises(AssertionError, match="empty"):
-            CutWitness(cut, sides).check(complete(4))
-
-    def test_rejects_overlapping_components(self):
-        with pytest.raises(AssertionError, match="two witness components"):
-            CutWitness(frozenset(), ({0, 1}, {0, 1})).check(complete(2))
-        with pytest.raises(AssertionError, match="two witness components"):
-            CutWitness(frozenset({1}), ({0, 2}, {2})).check(path(3))
-
-    def test_rejects_merged_components(self):
-        # {0, 2} is a union of two components of P_5 - {1, 3}
-        with pytest.raises(AssertionError, match="not the components"):
-            CutWitness(frozenset({1, 3}), ({0, 2}, {4})).check(path(5))
-
-    def test_rejects_single_component(self):
+    @pytest.mark.parametrize("g, cut", [
+        (complete(4), frozenset()),
+        (complete(4), frozenset({0})),
+        (complete(2), frozenset()),
+        (path(3), frozenset({0})),
+        (path(3), frozenset({0, 1, 2})),  # all of V: no component left
+        (path(4), frozenset({0, 1, 2})),  # one vertex left
+    ], ids=["K4-empty", "K4-vertex", "K2-empty", "P3-end", "P3-all", "P4-one-left"])
+    def test_rejects_non_separating_cut(self, g, cut):
         with pytest.raises(AssertionError, match="at least two components"):
-            CutWitness(frozenset({0}), (frozenset({1, 2}),)).check(path(3))
+            CutWitness(cut).check(g)
 
     def test_rejects_cut_outside_graph(self):
         with pytest.raises(AssertionError, match="99 is not a vertex"):
-            CutWitness(frozenset({1, 99}), ({0}, {2})).check(path(3))
+            CutWitness(frozenset({1, 99})).check(path(3))
 
 
 class TestSubsetRoute:

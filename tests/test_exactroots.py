@@ -258,6 +258,28 @@ def test_newton_seed_degree_24_charpolys(sturm_calls, no_np_roots):
     assert not sturm_calls
 
 
+@pytest.mark.parametrize("p", [(0.02, -0.3, 1.0), (Fraction(-1, 3), 1), (-2, 0, 1.0)])
+def test_non_integer_coefficients_rejected(p):
+    # floats and fractions would otherwise be "certified" in float arithmetic
+    for f in (normalize, largest_real_root, isolate_largest_root):
+        with pytest.raises(TypeError):
+            f(p)
+    with pytest.raises(TypeError):
+        compare_largest_roots(p, (-2, 0, 1))
+
+
+def test_numpy_integer_coefficients_become_ints():
+    # a 6-vertex charpoly: int64 coefficients overflowed in the shifted
+    # Horner passes of shift_variations
+    p = (0, 0, 6, 0, -6, 0, 1)
+    q = tuple(np.array(p, dtype=np.int64))
+    assert normalize(q) == p and all(type(c) is int for c in normalize(q))
+    assert largest_real_root(q) == largest_real_root(p)
+    assert isolate_largest_root(q) == isolate_largest_root(p)
+    assert compare_largest_roots(q, p) == 0
+    assert compare_largest_roots(q, tuple(np.array((-5, 0, 1), dtype=np.int32))) == -1
+
+
 def test_no_real_root_raises():
     with pytest.raises(ValueError):
         isolate_largest_root((1, 0, 1))  # x^2 + 1

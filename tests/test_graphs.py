@@ -193,6 +193,14 @@ class TestExtremalGraph:
         with pytest.raises(ValueError, match="k >= 1"):
             extremal_graph(ExtremalParams(6, 0, 2))
 
+    def test_is_valid(self):
+        for p in (ExtremalParams(7, 2, 3), ExtremalParams(4, 1, 1), ExtremalParams(3, 1, 1),
+                  ExtremalParams(7, 1, 4)):  # valid, though delta is not realized
+            assert p.is_valid
+        for p in (ExtremalParams(5, 4, 4), ExtremalParams(6, 3, 2), ExtremalParams(6, 0, 2),
+                  ExtremalParams(2, 1, 1)):
+            assert not p.is_valid
+
     def test_non_integer_params_rejected(self):
         for p in (ExtremalParams(7.5, 2, 3), ExtremalParams(7, 2.0, 3),
                   ExtremalParams(7, 2, "3")):
@@ -221,6 +229,8 @@ class TestGraph:
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError, match="at least one vertex"):
             Graph(0, ())
+        with pytest.raises(ValueError, match="not an integer"):
+            Graph(2.0, (2, 1))
         with pytest.raises(ValueError, match="rows do not match vertex count"):
             Graph(2, (1,))
 
