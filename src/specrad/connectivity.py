@@ -46,17 +46,18 @@ completion of the set costs one bitset BFS of :mod:`specrad.graphs`.
 The two routes serve two regimes, and agree (tested).  The k-scan
 (``connectivity_at_most`` for k = 0, 1, ...) serves the census orders
 n <= 10, where it beats max-flow on random G(n, p) at every density
-(0.6 against 3.3 ms per 20 connected G(10, 0.7) graphs; 2-vCPU Xeon,
+(0.5 against 3.2 ms per 20 connected G(10, 0.7) graphs; 2-vCPU Xeon,
 Python 3.11).  Max-flow serves the family workload and n > 10.  The
 scan's cost rests on the heavy edges: on G(n, p) it still wins at
-n = 16 (3.0 against 16.9 ms per 20 graphs at p = 0.7), but where no
-edge is heavy, as in regular graphs, it tries every
-(k - |F|)-subset (67.6 against 2.9 ms per 5 connected 6-regular graphs
-on 16 vertices), while the flow stays polynomial.
+n = 16 (2.3 against 13.3 ms per 20 graphs at p = 0.7), but where no
+edge is heavy, as in regular graphs, it tries every (k - |F|)-subset
+(95.3 against 3.8 ms per 5 connected 6-regular graphs on 16
+vertices), while the flow stays polynomial.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -217,22 +218,20 @@ def connectivity_at_most(g, k):
     """Decide kappa(G) <= k, from the minimum degree delta and one bound.
 
     k >= delta is True, since kappa <= delta (Whitney).  Otherwise
-    k <= n - 2, so kappa <= k if and only if some set S of exactly k
-    vertices separates (a smaller separator grows to k vertices), and
-    each side of such a set has at least delta - k + 1 vertices, so at
-    most n - delta - 1.  A vertex or an edge outside S shares its side
-    with its neighbours outside S, so with top = n - delta + k - 1:
+    kappa <= k if and only if some set S of exactly k vertices
+    separates, and each side of S has at most n - delta - 1 vertices.
+    A vertex or an edge outside S shares its side with its neighbours
+    outside S, so with top = n - delta + k - 1:
     - a vertex of degree >= top is forced into S; more than k such
       forced vertices give False;
     - an edge uv with |N(u) u N(v)| > top is heavy: S holds u or v.
-    The search tries the forced set F joined with each
-    (k - |F|)-subset of the other vertices that covers the heavy edges
-    (branch on the first uncovered one: take u, or ban u and take v),
-    one bitset BFS per set; a one-pick search skips the heavy edges.
-    Equivalent to vertex_connectivity(g)[0] <= k.  The scan over k is
-    the connectivity route for n <= 10, and max-flow beyond (module
-    docstring).
+    The search tries the forced set F joined with each (k - |F|)-subset
+    of the other vertices that covers the heavy edges (branch on the
+    first uncovered one: take u, or ban u and take v), one bitset BFS
+    per set.  Equivalent to vertex_connectivity(g)[0] <= k for integer
+    k; other k raise TypeError.  The module docstring says when to scan.
     """
+    k = operator.index(k)
     rows = g.rows
     # inline, not graphs.min_degree: a traced scan gets no extra span per call
     delta = min(map(int.bit_count, rows))
@@ -247,13 +246,14 @@ def connectivity_at_most(g, k):
     if size > k:
         return False
     rest = ((1 << n) - 1) & ~forced
-    if size == k:  # F is the one candidate, so build no candidate list
-        return _component_mask(rows, rest, rest & -rest) != rest
-    # one pick must cover every heavy edge, but building them costs such
-    # a search more than the BFS calls they save
-    heavy = [] if k - size == 1 else [
-        (1 << u, 1 << v) for u, v in combinations(_mask_vertices(rest), 2)
-        if rows[u] >> v & 1 and (rows[u] | rows[v]).bit_count() > top]
+    heavy = []  # each edge of G - F from its lower end; none if no pick is left
+    for u in _mask_vertices(rest if k > size else 0):
+        m = rows[u] & rest & -(2 << u)
+        while m:
+            b = m & -m
+            m ^= b
+            if (rows[u] | rows[b.bit_length() - 1]).bit_count() > top:
+                heavy.append((1 << u, b))
     return _cut_within(rows, rest, k - size, heavy)
 
 

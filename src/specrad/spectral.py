@@ -299,8 +299,8 @@ def exact_compare_rho(g, h):
     Equal degree sequences (likely relabelings, which no enclosure can
     separate) skip the screen; this only orders the work.  Otherwise
     identical characteristic polynomials give EQUAL_POLY, and else the
-    top eigenvalue of each matrix -- from the screen, when it ran -- seeds
-    a bracket that is certified exactly (see
+    top eigh eigenvalue of each matrix -- the screen's, when it ran --
+    seeds a bracket that is certified exactly (see
     :func:`exactroots.compare_largest_roots`).  Every verdict rests on
     integer arithmetic only -- never on float proximity.
     """
@@ -309,7 +309,7 @@ def exact_compare_rho(g, h):
             raise ValueError("exact_compare_rho capped at n <= 32")
         if not is_connected(gr):
             raise ValueError("exact_compare_rho requires connected graphs")
-    tops = None
+    tops = []
     if sorted(g.degrees()) != sorted(h.degrees()):
         mats = [gr.adjacency_matrix() for gr in (g, h)]
         tops = [_top_pair(a) for a in mats]
@@ -323,10 +323,10 @@ def exact_compare_rho(g, h):
     q = int_charpoly(h).coeffs
     if p == q:
         return Ordering.EQUAL_POLY
-    if tops is None:
-        seeds = [float(np.linalg.eigvalsh(gr.adjacency_matrix())[-1]) for gr in (g, h)]
-    else:
-        seeds = [rho for rho, _ in tops]
+    # a pair that skipped the screen takes its top pairs only now, so
+    # relabelings (EQUAL_POLY) build no matrix and run no eigensolver
+    tops = tops or [_top_pair(gr.adjacency_matrix()) for gr in (g, h)]
+    seeds = [rho for rho, _ in tops]
     c = exactroots.compare_largest_roots(p, q, seeds=seeds)
     if c < 0:
         return Ordering.LESS

@@ -2,9 +2,11 @@
 
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -421,6 +423,13 @@ class TestDegreeBounds:
         "forced+heavy": from_edges(9, [(0, 1), (0, 3), (0, 7), (0, 8), (1, 2), (1, 4), (1, 5),
                                        (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8),
                                        (3, 5), (3, 8), (4, 6), (4, 7), (5, 6), (7, 8)]),
+        # two 4-cycles 0-1-6-5 and 2-3-4-6 sharing vertex 6: at k = 1,
+        # top = 5, no vertex is forced, and the heavy edges are the four at 6
+        "2C4": from_edges(7, [(0, 1), (0, 5), (1, 6), (2, 3), (2, 6), (3, 4), (4, 6), (5, 6)]),
+        # n = 7, delta = 2, kappa = 2: at k = 1, top = 5, no vertex is
+        # forced, and the heavy edges hold the matching 0-5, 1-4
+        "matching": from_edges(7, [(0, 5), (0, 6), (1, 4), (1, 6), (2, 4), (2, 5), (2, 6),
+                                   (3, 4), (3, 5), (3, 6), (4, 5)]),
     }
 
     @pytest.mark.parametrize("name, k, calls", [
@@ -432,6 +441,11 @@ class TestDegreeBounds:
         # vertex 2 joined with 0 and one of 7 others, or with 1 and one of
         # 6; C(8, 2) = 28 supersets of the forced set without the rule
         ("forced+heavy", 3, 7 + 6),
+        # one pick: taking 1 leaves 2-6 uncovered, so 6 is the one set
+        # tried; trying every 1-set takes 7
+        ("2C4", 1, 1),
+        # one pick covers no two disjoint heavy edges: False with no BFS
+        ("matching", 1, 0),
     ])
     def test_search_branches_on_the_heavy_edges(self, bfs_calls, name, k, calls):
         # an edge uv with |N(u) u N(v)| > n - delta + k - 1 has an end in
@@ -489,6 +503,23 @@ def test_decision_matches_vertex_connectivity(g):
         assert connectivity_at_most(g, k) == (kappa <= k)
 
 
+@pytest.mark.parametrize("k", [1.5, 2.0, 1.0, Fraction(1), None], ids=repr)
+@pytest.mark.parametrize("g", [path(4), from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)]),
+                               cycle(6)], ids=["P4", "K33", "C6"])
+def test_decision_takes_integer_k_only(g, k):
+    # a float k would reach a different exit on each graph: P_4 at 1.5 is
+    # past Whitney's bound, K_{3,3} at 2.0 ends in the heavy-edge branching
+    # and C_6 at 1.0 in the k-set loop
+    with pytest.raises(TypeError):
+        connectivity_at_most(g, k)
+
+
+def test_decision_takes_numpy_integers():
+    g = join(complete(2), cycle(6))
+    for k in range(-1, g.n + 2):
+        assert connectivity_at_most(g, np.int64(k)) == connectivity_at_most(g, k)
+
+
 @st.composite
 def tight_side_graphs(draw):
     """Dense graphs on 8-12 vertices where the side-size bound is tight.
@@ -527,10 +558,10 @@ def heavy_search(g, k):
 
 
 def test_branching_search_matches_vertex_connectivity():
-    # the draws must reach the search that branches on heavy edges (two
-    # or more picks and at least one heavy edge), with both answers: a
-    # threshold of >= for > or a search without its "ban u, take v"
-    # branch gives a wrong answer on some of them
+    # the draws must reach the search that branches on heavy edges, with
+    # one pick and with more, each with both answers: a threshold of >=
+    # for > or a search without its "ban u, take v" branch gives a wrong
+    # answer on some of them
     reached = Counter()
 
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -540,8 +571,8 @@ def test_branching_search_matches_vertex_connectivity():
         for k in range(-1, g.n + 2):
             assert connectivity_at_most(g, k) == (kappa <= k)
             search = heavy_search(g, k)
-            if search and search[0] >= 2 and search[1] >= 1:
-                reached[kappa <= k] += 1
+            if search and search[0] >= 1 and search[1] >= 1:
+                reached[min(search[0], 2), kappa <= k] += 1
 
     check()
-    assert reached[True] > 0 and reached[False] > 0
+    assert all(reached[picks, answer] > 0 for picks in (1, 2) for answer in (True, False))
