@@ -47,12 +47,14 @@ The two routes serve two regimes, and agree (tested).  The k-scan
 (``connectivity_at_most`` for k = 0, 1, ...) serves the census orders
 n <= 10, where it beats max-flow on random G(n, p) at every density
 (0.5 against 3.2 ms per 20 connected G(10, 0.7) graphs; 2-vCPU Xeon,
-Python 3.11).  Max-flow serves the family workload and n > 10.  The
-scan's cost rests on the heavy edges: on G(n, p) it still wins at
-n = 16 (2.3 against 13.3 ms per 20 graphs at p = 0.7), but where no
-edge is heavy, as in regular graphs, it tries every (k - |F|)-subset
-(95.3 against 3.8 ms per 5 connected 6-regular graphs on 16
-vertices), while the flow stays polynomial.
+Python 3.11).  Max-flow serves graphs that are not clique joins, past
+n = 10; no workload runs it (every family graph is a clique join, cut
+by U), and it is the tests' reference for the scan.  The scan's cost
+rests on the heavy edges: on G(n, p) it still wins at n = 16 (2.3
+against 13.3 ms per 20 graphs at p = 0.7), but where no edge is heavy,
+as in regular graphs, it tries every (k - |F|)-subset (95.3 against
+3.8 ms per 5 connected 6-regular graphs on 16 vertices), while the
+flow stays polynomial.
 """
 
 from __future__ import annotations

@@ -9,16 +9,17 @@ bracket (lo, hi, e, f): the interval (lo/2^e, hi/2^e] of integers lo < hi,
 or the root lo/2^e itself when lo == hi; f is p or its square-free part.
 
 * Seeded certificate.  Given a float estimate (a caller's eigenvalue,
-  or Newton's iteration from above in :func:`largest_real_root`), brackets
-  of widening reach around it on the 2^-SEED_BITS grid are tried.
+  or Newton's iteration from above in :func:`largest_real_root`),
   :func:`shift_variations` counts the sign variations V(r) of p(r + t);
   by Descartes' rule of signs V(r) bounds the number of roots above r
-  and has the same parity, so V(hi) = 0 and V(lo) = 1 prove that p has
-  exactly one root above lo, that it is simple, and that it lies in
-  (lo, hi].  The proof holds for every integer polynomial; for a
-  real-rooted one (the characteristic polynomial of a symmetric
-  matrix) V(r) is exactly the number of roots above r, so a tight
-  bracket around a good seed always certifies.
+  and has the same parity.  So p(m) = 0 and V(m) = 0 prove the integer
+  m nearest the seed the largest root, exactly; else, for the first
+  brackets of widening reach around the seed on the 2^-SEED_BITS grid,
+  V(hi) = 0 and V(lo) = 1 prove that p has exactly one root above lo,
+  that it is simple, and that it lies in (lo, hi].  For a real-rooted
+  p (the characteristic polynomial of a symmetric matrix) V(r) is
+  exactly the number of roots above r, so a tight bracket around a
+  good seed of a simple root always certifies.
 * Sturm fallback.  Without a seed, or when no bracket certifies, the
   square-free part's Sturm chain counts roots while the Cauchy interval
   (-B, B] is bisected, until one root is left in the bracket.
@@ -62,10 +63,6 @@ __all__ = [
 # sent them to a Sturm chain of degree 24 or 32.
 SEED_BITS = 40
 SEED_REACH = (1, 4, 64, 1 << 12, 1 << 20)
-# Overlapping brackets are halved down to width 2^-GCD_BITS before the
-# gcd is formed: a common root on a fine dyadic grid (the integer radius
-# of a regular graph) is then met exactly by sign bisection, with no gcd.
-GCD_BITS = 64
 # Newton's iteration for a seed stops after at most NEWTON_STEPS steps.
 NEWTON_STEPS = 200
 
@@ -228,10 +225,12 @@ def _chain_variations(chain, num, den):
 def count_roots_in(chain, lo, hi):
     """Distinct real roots of the chain's polynomial in (lo, hi].
 
-    Endpoints are rationals; every real root lies in +-cauchy_bound.
-    The chain's polynomial must be square-free.
+    Rational endpoints with lo <= hi (else ValueError); every real root
+    lies in +-cauchy_bound.  The chain's polynomial must be square-free.
     """
     lo, hi = Fraction(lo), Fraction(hi)
+    if lo > hi:
+        raise ValueError(f"reversed interval ({lo}, {hi}]")
     return (_chain_variations(chain, lo.numerator, lo.denominator)
             - _chain_variations(chain, hi.numerator, hi.denominator))
 
@@ -270,19 +269,24 @@ def _refine(br, bits):
 
 
 def _seeded_bracket(p, seed):
-    """Certified bracket (lo, hi, SEED_BITS, p) around a float seed, or None.
+    """Certified bracket around a float seed, or None.
 
-    With base the grid point at or below the seed, hi is the first
-    base + h (h in SEED_REACH) with V(hi) = 0, so no root lies above it,
-    and lo the first base - h with V(lo) = 1, so exactly one simple root
-    lies above lo.  V(lo) > 1 means more than one root sits above lo,
-    which widening cannot cure.
+    With m = round(seed), p(m) = 0 and V(m) = 0 prove m the largest root:
+    the zero-width bracket (m, m, 0, p).  Otherwise, with base the grid
+    point at or below the seed, hi is the first base + h (h in
+    SEED_REACH) with V(hi) = 0, so no root lies above it, and lo the
+    first base - h with V(lo) = 1, so exactly one simple root lies above
+    lo: the bracket (lo, hi, SEED_BITS, p).  V(lo) > 1 means more than
+    one root sits above lo, which widening cannot cure.
     """
     scale = 1 << SEED_BITS
     try:
         base = math.floor(float(seed) * scale)
     except (OverflowError, ValueError):  # a seed beyond float range, inf or NaN
         return None
+    m = round(float(seed))
+    if p and _value(p, m, 1) == 0 and _shift_variations(p, m, 1) == 0:
+        return m, m, 0, p
     hi = next((base + h for h in SEED_REACH if _shift_variations(p, base + h, scale) == 0), None)
     if hi is None:
         return None
@@ -338,9 +342,9 @@ def isolate_largest_root(p, seed=None):
     else ('interval', lo, hi, f) with hi - lo <= 2^-30: f is p or its
     square-free part, and its only root above lo is a simple root in
     (lo, hi), the largest real root of p.  A float `seed` near that root
-    is tried first through a Descartes certificate; without one, or if
-    certification fails, Sturm bisection of the Cauchy interval isolates
-    it.  Raises ValueError when p has no real root.
+    is tried first through a Descartes certificate, exact for an integer
+    root; without one, or if certification fails, Sturm bisection of the
+    Cauchy interval isolates it.  Raises ValueError when p has no real root.
     """
     lo, hi, e, f = _refine(_isolate(normalize(p), seed), 30)
     if lo == hi:
@@ -387,21 +391,15 @@ def largest_real_root(p):
 
     The seed comes from Newton's iteration from above
     (:func:`_newton_seed`); a coefficient too large for a float leaves
-    Sturm with no seed.  When the integer m nearest to the seed has
-    p(m) = 0 and V(m) = 0, Descartes' rule proves m the largest root,
-    exactly (this covers repeated roots on top, which no bracket
-    certifies).  Otherwise the seed's bracket (see
-    :func:`isolate_largest_root`) is bisected to width at most 2^-42,
-    below 1e-12 / 4, on the dyadic grid, and its midpoint, correctly
-    rounded, is returned.
+    Sturm with no seed.  The seed's bracket (see
+    :func:`isolate_largest_root`; an integer root is exact) is bisected
+    to width at most 2^-42, below 1e-12 / 4, on the dyadic grid, and its
+    midpoint, correctly rounded, is returned.  Raises OverflowError when
+    that root is beyond float range, and ValueError when p has no real
+    root.
     """
     p = normalize(p)
-    seed = _newton_seed(p)
-    if seed is not None:
-        m = round(seed)
-        if _value(p, m, 1) == 0 and _shift_variations(p, m, 1) == 0:
-            return float(m)
-    lo, hi, e, _ = _refine(_isolate(p, seed), 42)
+    lo, hi, e, _ = _refine(_isolate(p, _newton_seed(p)), 42)
     return (lo + hi) / (2 << e)
 
 
@@ -411,18 +409,18 @@ def compare_largest_roots(p, q, seeds=(None, None)):
     `seeds` holds an optional float estimate of each largest root (see
     :func:`isolate_largest_root`).  Both brackets are moved onto the finer
     of their two grids and halved together by exact sign bisection until
-    they separate.  Once both are at most 2^-GCD_BITS wide and still
-    overlap in (ilo, ihi), the roots are equal iff the gcd of the two
-    bracket polynomials has a root there.  It can have only that one,
-    simple, and none at ihi, so a sign change between the ends shows it;
-    a root of the gcd at ilo itself hides the change until a halving
-    moves ilo, so the test repeats on every overlap.
+    they separate, as distinct roots do once the two widths sum to less
+    than their gap.  While they overlap in (ilo, ihi], the roots are
+    equal iff the gcd of the two bracket polynomials, formed on the
+    first overlap, has a root there: a simple root, the only one there
+    and not ihi, so the gcd changes sign across the overlap once ilo,
+    rising to the root, is no root of the gcd.  So the loop ends.
     """
     a, b = (_isolate(normalize(f), s) for f, s in zip((p, q), seeds))
     e = max(a[2], b[2])
     a, b = ((lo << e - k, hi << e - k, e, f) for lo, hi, k, f in (a, b))
-    shared = None  # gcd, formed on the first narrow overlap
-    for _ in range(512):
+    shared = None  # gcd, formed on the first overlap
+    while True:
         (alo, ahi, e, f), (blo, bhi, _, g) = a, b
         if alo == ahi:
             return _versus_root(b, alo)
@@ -432,11 +430,9 @@ def compare_largest_roots(p, q, seeds=(None, None)):
             return -1  # alpha < ahi <= blo < beta
         if bhi <= alo:
             return 1
-        if max(ahi - alo, bhi - blo) << GCD_BITS <= 1 << e:
-            if shared is None:
-                shared = poly_gcd(f, g)
-            ilo, ihi, den = max(alo, blo), min(ahi, bhi), 1 << e
-            if len(shared) > 1 and _value(shared, ilo, den) * _value(shared, ihi, den) < 0:
-                return 0
+        if shared is None:
+            shared = poly_gcd(f, g)
+        ilo, ihi, den = max(alo, blo), min(ahi, bhi), 1 << e
+        if len(shared) > 1 and _value(shared, ilo, den) * _value(shared, ihi, den) < 0:
+            return 0
         a, b = _halve(a), _halve(b)
-    raise RuntimeError("compare_largest_roots failed to separate after 512 rounds")

@@ -74,6 +74,14 @@ def test_sturm_counts_known_cubic():
     assert count_roots_in(ch, -b, b) == 3
 
 
+def test_count_roots_in_rejects_reversed_interval():
+    ch = sturm_chain((-2, 0, 1))  # x^2 - 2
+    with pytest.raises(ValueError):
+        count_roots_in(ch, 2, -2)
+    assert count_roots_in(ch, -2, 2) == 2
+    assert count_roots_in(ch, 1, 1) == count_roots_in(ch, Fraction(3, 2), Fraction(3, 2)) == 0
+
+
 def test_sturm_counts_random_vs_numpy():
     # a double real root perturbs into a conjugate pair with imag ~ sqrt(eps),
     # so the oracle needs a generous imaginary cutoff and clustering radius
@@ -125,8 +133,8 @@ def test_seeded_isolation_certifies_without_sturm(sturm_calls):
     assert loc[0] == "interval" and not sturm_calls
     _, lo, hi, _ = loc
     assert lo < Fraction(2.170086486626034) < hi and hi - lo <= Fraction(1, 1 << 30)
-    _, lo, hi, _ = isolate_largest_root((-3, -2, 1), seed=3.0)
-    assert lo < 3 < hi
+    # (x-3)(x+1): p(3) = 0 and V(3) = 0 prove the integer root exactly
+    assert isolate_largest_root((-3, -2, 1), seed=3.0) == ("exact", 3)
     assert not sturm_calls
 
 
@@ -163,11 +171,14 @@ def test_integer_seed_beyond_float_range_reaches_fallback(sturm_calls):
     assert compare_largest_roots((-3, 0, 1), (-2, 0, 1), seeds=(None, 10**400)) == 1
 
 
-def test_double_top_root_reaches_fallback(sturm_calls):
-    # (x-2)^2 (x+1): V just below 2 is 2, so no bracket certifies
-    loc = isolate_largest_root((4, 0, -3, 1), seed=2.0)
-    assert sturm_calls
-    assert loc == ("exact", 2) or loc[1] < 2 < loc[2]
+def test_double_top_root_proved_or_reaches_fallback(sturm_calls):
+    # (x-2)^2 (x+1): V just below 2 is 2, so no bracket certifies, but
+    # p(2) = 0 and V(2) = 0 prove the root 2 exactly, with no Sturm chain
+    assert isolate_largest_root((4, 0, -3, 1), seed=2.0) == ("exact", 2)
+    assert not sturm_calls
+    # (x^2 - 2)^2: a double irrational top root is left to Sturm
+    _, lo, hi, _ = isolate_largest_root((4, 0, -4, 0, 1), seed=2**0.5)
+    assert sturm_calls and lo * lo < 2 < hi * hi
 
 
 def test_square_free_part_collapses_multiplicity():
@@ -219,7 +230,10 @@ def test_largest_real_root_beyond_float_range(sturm_calls):
     assert largest_real_root((-3 * 10**400, 10**400, -3, 1)) == pytest.approx(3.0, abs=1e-12)
     # x - 10^308 fits a float, but Fujiwara's bound 2e308 does not: no seed
     assert largest_real_root((-(10**308), 1)) == 1e308
-    assert len(sturm_calls) == 3
+    # x - 10^400: the root is certified but fits no float
+    with pytest.raises(OverflowError):
+        largest_real_root((-(10**400), 1))
+    assert len(sturm_calls) == 4
 
 
 def _unseeded_root(p):
@@ -436,7 +450,7 @@ class TestCompare:
         assert compare_largest_roots(paw, c4) == 1
 
     def test_good_seeds_skip_sturm_and_gcd(self, sturm_calls, monkeypatch, no_fraction):
-        monkeypatch.setattr(exactroots, "poly_gcd", None)  # dyadic ties need no gcd
+        monkeypatch.setattr(exactroots, "poly_gcd", None)  # integer ties need no gcd
         c4 = (0, 0, -4, 0, 1)
         c5 = (-2, 5, 0, -5, 0, 1)
         assert compare_largest_roots(c4, c5, seeds=(2.0, 2.0000000000000004)) == 0
@@ -454,6 +468,22 @@ class TestCompare:
         assert compare_largest_roots(p, q, seeds=(r2, r2)) == 0
         assert gcds and not sturm_calls
         assert compare_largest_roots(p, (-3, 0, 1), seeds=(r2, 1.7320508075688772)) == -1
+
+    def test_double_integer_top_roots_tie_without_gcd(self, sturm_calls, monkeypatch, no_fraction):
+        # (x-2)^2 (x+1) against (x-2)^2 (x+3): seeded, both roots are
+        # proved at isolation, with no square-free part and no gcd
+        monkeypatch.setattr(exactroots, "poly_gcd", None)
+        p, q = (4, 0, -3, 1), (12, -8, -1, 1)
+        assert compare_largest_roots(p, q, seeds=(2.0, 2.0)) == 0
+        assert not sturm_calls
+
+    @pytest.mark.parametrize("seeds", [(3.0, 3.0), (None, None)])
+    def test_roots_2_to_the_minus_600_apart(self, seeds):
+        # roots 3 + 2^-600 and 3 + 2^-599: some 600 halvings separate them
+        big = 1 << 600
+        p, q = (-(3 * big + 1), big), (-(3 * big + 2), big)
+        assert compare_largest_roots(p, q, seeds=seeds) == -1
+        assert compare_largest_roots(q, p, seeds=seeds) == 1
 
     def test_random_vs_numpy(self):
         rng = random.Random(9)
