@@ -230,8 +230,10 @@ def connectivity_at_most(g, k):
     The search tries the forced set F joined with each (k - |F|)-subset
     of the other vertices that covers the heavy edges (branch on the
     first uncovered one: take u, or ban u and take v), one bitset BFS
-    per set.  Equivalent to vertex_connectivity(g)[0] <= k for integer
-    k; other k raise TypeError.  The module docstring says when to scan.
+    per set.  A greedy matching of the heavy edges, kept as they are
+    found, gives False once it holds more than k - |F| edges.
+    Equivalent to vertex_connectivity(g)[0] <= k for integer k; other k
+    raise TypeError.  The module docstring says when to scan.
     """
     k = operator.index(k)
     rows = g.rows
@@ -248,15 +250,23 @@ def connectivity_at_most(g, k):
     if size > k:
         return False
     rest = ((1 << n) - 1) & ~forced
+    picks = k - size
     heavy = []  # each edge of G - F from its lower end; none if no pick is left
-    for u in _mask_vertices(rest if k > size else 0):
-        m = rows[u] & rest & -(2 << u)
+    matched = 0  # the ends of a greedy matching of the heavy edges
+    for u in _mask_vertices(rest if picks else 0):
+        bu = 1 << u
+        m = rows[u] & rest & -(bu << 1)
         while m:
             b = m & -m
             m ^= b
             if (rows[u] | rows[b.bit_length() - 1]).bit_count() > top:
-                heavy.append((1 << u, b))
-    return _cut_within(rows, rest, k - size, heavy)
+                heavy.append((bu, b))
+                if not matched & (bu | b):
+                    matched |= bu | b
+                    # a cover takes one end of each matched edge
+                    if matched.bit_count() > 2 * picks:
+                        return False
+    return _cut_within(rows, rest, picks, heavy)
 
 
 def _cut_within(rows, avail, picks, heavy, start=0, banned=0):

@@ -80,10 +80,11 @@ class Graph:
         """
         import numpy as np
 
-        nbytes = (self.n + 7) // 8
-        raw = b"".join(r.to_bytes(nbytes, "little") for r in self.rows)
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(self.n, nbytes),
-                             axis=1, bitorder="little")[:, : self.n]
+        n = self.n
+        nbytes = (n + 7) // 8
+        raw = b"".join([r.to_bytes(nbytes, "little") for r in self.rows])
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(n, nbytes),
+                             axis=1, count=n, bitorder="little")
         return bits.astype(float)
 
     def validate(self):

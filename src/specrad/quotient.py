@@ -11,7 +11,7 @@ the clique-join family to the largest root of a cubic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,29 +36,47 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Partition:
-    """Ordered vertex blocks: disjoint, nonempty, covering 0..n-1."""
+    """Ordered vertex blocks: disjoint, nonempty, covering 0..n-1.
+
+    The blocks are checked once, here: every vertex a nonnegative
+    integer in at most one block, no block empty.  ``masks`` holds each
+    block as a bitmask and ``cover`` their union, so :meth:`validate`
+    only compares ``cover`` with n.
+    """
 
     blocks: tuple
+    masks: tuple = field(init=False, repr=False, compare=False)
+    cover: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(tuple(b) for b in self.blocks))
+        blocks = tuple(tuple(b) for b in self.blocks)
+        masks = []
+        cover = 0
+        for b in blocks:
+            if not b:
+                raise ValueError("partition block is empty")
+            m = 0
+            for v in b:
+                if not (isinstance(v, int) and v >= 0):
+                    raise ValueError(f"vertex {v!r} out of range")
+                bit = 1 << v
+                if (cover | m) & bit:
+                    raise ValueError(f"vertex {v} appears in two blocks")
+                m |= bit
+            masks.append(m)
+            cover |= m
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "masks", tuple(masks))
+        object.__setattr__(self, "cover", cover)
 
     @property
     def sizes(self):
         return tuple(len(b) for b in self.blocks)
 
     def validate(self, n):
-        seen = set()
-        for b in self.blocks:
-            if not b:
-                raise ValueError("partition block is empty")
-            for v in b:
-                if not (isinstance(v, int) and 0 <= v < n):
-                    raise ValueError(f"vertex {v!r} out of range")
-                if v in seen:
-                    raise ValueError(f"vertex {v} appears in two blocks")
-                seen.add(v)
-        if len(seen) != n:
+        if self.cover >> n:
+            raise ValueError(f"vertex {self.cover.bit_length() - 1} out of range")
+        if self.cover.bit_count() != n:  # every bit is below n, so all n are set
             raise ValueError("partition does not cover the vertex set")
         return self
 
@@ -98,8 +116,7 @@ class QuotientMatrix:
 def _block_degrees(g, p):
     """d[i][j] lists the neighbour counts in block j of the vertices of block i."""
     p.validate(g.n)
-    masks = [sum(1 << v for v in b) for b in p.blocks]
-    return [[[(g.rows[v] & mj).bit_count() for v in b] for mj in masks]
+    return [[[(g.rows[v] & mj).bit_count() for v in b] for mj in p.masks]
             for b in p.blocks]
 
 

@@ -56,19 +56,23 @@ class PerronPair:
 
     def residual(self, adjacency):
         """max |A v - rho v|, the eigenpair residual :meth:`check` gates."""
-        return float(np.max(np.abs(adjacency @ self.vec - self.rho * self.vec)))
+        v = self.vec
+        return float(np.abs(adjacency @ v - self.rho * v).max())
 
     def check(self, adjacency):
         """Assert the defining invariants against the adjacency matrix."""
         v = self.vec
+        if v.ndim != 1 or adjacency.shape != (v.size, v.size):
+            raise AssertionError(f"Perron vector of shape {v.shape} does not fit "
+                                 f"a matrix of shape {adjacency.shape}")
         if not math.isfinite(self.rho):
             raise AssertionError("Perron radius is not finite")
-        if not abs(np.linalg.norm(v) - 1.0) <= 1e-12:  # NaN and inf fail too
+        if not abs(math.sqrt(v @ v) - 1.0) <= 1e-12:  # NaN and inf fail too
             raise AssertionError("Perron vector is not unit length")
         res = self.residual(adjacency)
         if res > RESIDUAL_FACTOR * max(1.0, self.rho):
             raise AssertionError(f"Perron residual {res:.3e} too large")
-        if np.min(v) <= 0:
+        if v.min() <= 0:
             raise AssertionError("Perron vector has a non-positive entry")
         return self
 
@@ -154,14 +158,16 @@ CHARPOLY_PRIMES = (2**30 - 35, 2**30 - 41, 2**30 - 83)
 
 
 def _crt_table(primes):
-    """(M, weights, inverses) for the product M of `primes`.
+    """(M, weights, inverses, pv, pmax) for the product M of `primes`.
 
     x = sum(r_i * w_i) mod M has x = r_i mod p_i, and inverses[k] is
-    1/k mod M for 1 <= k <= 32 (inverses[0] is unused).
+    1/k mod M for 1 <= k <= 32 (inverses[0] is unused).  pv holds the
+    primes as int64, for :func:`_reduce`, and pmax is the largest.
     """
     modulus = math.prod(primes)
     weights = tuple(modulus // p * pow(modulus // p, -1, p) for p in primes)
-    return modulus, weights, (0,) + tuple(pow(k, -1, modulus) for k in range(1, 33))
+    inverses = (0,) + tuple(pow(k, -1, modulus) for k in range(1, 33))
+    return modulus, weights, inverses, np.array(primes, dtype=np.int64), max(primes)
 
 
 _CRT = [_crt_table(CHARPOLY_PRIMES[:i]) for i in range(1, len(CHARPOLY_PRIMES) + 1)]
@@ -221,17 +227,16 @@ def int_charpoly(g):
     n = g.n
     if n > 32:
         raise ValueError(f"int_charpoly capped at n <= 32 (got {n})")
-    a = g.adjacency_matrix()
-    row_sums = a.sum(axis=1)
-    dmax = int(row_sums.max())
-    bound = charpoly_bound(n, int(row_sums.sum()))
-    used = next((i for i, (mod, _, _) in enumerate(_CRT, 1) if mod > 2 * bound), len(_CRT))
-    primes = CHARPOLY_PRIMES[:used]
-    modulus, weights, inverses = _CRT[used - 1]
-    pmax = max(primes)
+    # the ones of each row that the dense matrix keeps, its n low bits
+    full = (1 << n) - 1
+    ones = [(r & full).bit_count() for r in g.rows]
+    dmax = max(ones)
+    bound = charpoly_bound(n, sum(ones))
+    used = next((i for i, crt in enumerate(_CRT, 1) if crt[0] > 2 * bound), len(_CRT))
+    modulus, weights, inverses, pv, pmax = _CRT[used - 1]
     assert modulus > 2 * bound, "CRT modulus must exceed twice the coefficient bound"
     assert n * dmax * pmax < 2**53, "a reduced power must multiply exactly"
-    pv = np.array(primes, dtype=np.int64)
+    a = g.adjacency_matrix()
     # pw[k - 1] is A^k with the primes side by side: pw4[k - 1, i, j, t] is
     # (A^k)[i, j], modulo pv[t] once reduced
     pw = np.empty((n, n, n * used))
@@ -245,12 +250,13 @@ def int_charpoly(g):
         np.matmul(a, pw[k - 1], out=pw[k])
         top *= dmax
     # every trace is an integer below 2^53, so int64 holds it; CRT takes any
-    # representative of each residue
-    traces = np.einsum("kiit->kt", pw4).astype(np.int64).tolist()
-    t = [sum(map(operator.mul, rs, weights)) % modulus for rs in traces]
+    # representative of each residue.  rt[n - i] is t_i, the trace of A^i
+    traces = np.einsum("kiit->kt", pw4)[::-1].astype(np.int64).tolist()
+    rt = [sum(map(operator.mul, rs, weights)) % modulus for rs in traces]
     c = [1]  # c[k] is the coefficient of x^(n-k), modulo M
     for k in range(1, n + 1):
-        s = sum(map(operator.mul, c, reversed(t[:k])))
+        # c[j] meets rt[n - k + j] = t_(k-j), for j = 0..k-1
+        s = sum(map(operator.mul, c, rt[n - k:]))
         c.append(-s * inverses[k] % modulus)
     # a list, not a generator: on CPython 3.11 a generator expression here
     # made a long benchmark process's peak RSS grow ~4 KB per 80 calls

@@ -455,6 +455,15 @@ class TestDegreeBounds:
         assert connectivity_at_most(g, k) == (nx.node_connectivity(to_networkx(g)) <= k)
         assert len(bfs_calls) == calls
 
+    def test_heavy_matching_larger_than_the_picks_ends_the_walk(self, monkeypatch):
+        # the heavy edges 0-5 and 1-4 are disjoint, so one pick covers
+        # neither pair: False before any branching search
+        def no_search(*args):
+            raise AssertionError("the search should not run")
+
+        monkeypatch.setattr(connectivity, "_cut_within", no_search)
+        assert connectivity_at_most(self.HEAVY["matching"], 1) is False
+
     FORCED = {
         # K_{2,3} with an edge in the 3-side: n = 5, delta = 2, kappa = 2;
         # at k = 1 the four vertices of degree >= 3 must all be in the cut

@@ -75,6 +75,47 @@ class TestPartition:
             Partition(((0.5,), (1,))).validate(2)
 
 
+class TestPartitionChecksOnce:
+    @pytest.mark.parametrize("blocks, why", [
+        (((0, 1), (1, 2)), "vertex 1 appears in two blocks"),
+        (((0, 0),), "vertex 0 appears in two blocks"),
+        (((0, 1), ()), "empty"),
+        (((0.5,), (1,)), r"vertex 0\.5 out of range"),
+        (((-1,), (0,)), r"vertex -1 out of range"),
+        ((("0",),), "out of range"),
+    ])
+    def test_construction_rejects(self, blocks, why):
+        with pytest.raises(ValueError, match=why):
+            Partition(blocks)
+
+    def test_validate_names_the_range_before_the_cover(self):
+        p = Partition(((0,), (3,)))  # for n = 3, vertex 3 is out of range and 1, 2 are missing
+        with pytest.raises(ValueError, match="vertex 3 out of range"):
+            p.validate(3)
+        with pytest.raises(ValueError, match="cover"):
+            p.validate(4)
+        q = Partition(((0, 2), (1, 3)))
+        assert q.validate(4) is q
+
+    def test_masks_agree_with_blocks(self):
+        rng = random.Random(35)
+        for _ in range(50):
+            n = rng.randint(1, 12)
+            p = random_partition(rng, n, rng.randint(1, n))
+            assert p.masks == tuple(sum(1 << v for v in b) for b in p.blocks)
+            assert p.cover == (1 << n) - 1
+            assert p.validate(n) is p
+
+    def test_equality_and_hash_ignore_the_masks(self):
+        p = Partition(((0, 1), (2,)))
+        q = Partition([[0, 1], [2]])
+        object.__setattr__(q, "masks", ())
+        object.__setattr__(q, "cover", 0)
+        assert p == q and hash(p) == hash(q)
+        assert p != Partition(((0,), (1, 2)))
+        assert repr(p) == "Partition(blocks=((0, 1), (2,)))"
+
+
 class TestEquitable:
     def test_single_block_of_complete(self):
         assert is_equitable(complete(5), Partition((tuple(range(5)),)))

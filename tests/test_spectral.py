@@ -121,19 +121,25 @@ def faddeev_leverrier_charpoly(g):
     return tuple(reversed(cs))
 
 
-def _charpoly_and_reductions(monkeypatch, g):
-    """int_charpoly(g).coeffs and the number of power reductions it made."""
+def _charpoly_and_reduced_primes(monkeypatch, g):
+    """int_charpoly(g).coeffs and the number of primes of each power reduction."""
     reduce = spectral._reduce
-    calls = []
+    primes = []
 
-    def counting_reduce(*args):
-        calls.append(1)
-        return reduce(*args)
+    def recording_reduce(block, pv):
+        primes.append(len(pv))
+        return reduce(block, pv)
 
     with monkeypatch.context() as m:
-        m.setattr(spectral, "_reduce", counting_reduce)
+        m.setattr(spectral, "_reduce", recording_reduce)
         coeffs = int_charpoly(g).coeffs
-    return coeffs, len(calls)
+    return coeffs, primes
+
+
+def _charpoly_and_reductions(monkeypatch, g):
+    """int_charpoly(g).coeffs and the number of power reductions it made."""
+    coeffs, primes = _charpoly_and_reduced_primes(monkeypatch, g)
+    return coeffs, len(primes)
 
 
 # -- reference: cyclic Jacobi rotations --------------------------------------
@@ -242,6 +248,13 @@ class TestPerron:
                               (2.0, np.array([math.nan, 1.0, 1.0]), "not unit length")):
             with pytest.raises(AssertionError, match=why):
                 spectral.PerronPair(rho, vec).check(a)
+
+    def test_gate_rejects_a_vector_of_the_wrong_shape(self):
+        a = complete(4).adjacency_matrix()
+        for vec in (np.ones(3) / math.sqrt(3), np.ones((4, 1)) / 2, np.ones(5) / math.sqrt(5)):
+            with pytest.raises(AssertionError,
+                               match=rf"shape \({vec.shape[0]},.*shape \(4, 4\)"):
+                spectral.PerronPair(2.0, vec).check(a)
 
     @pytest.mark.parametrize("n", [2, 5, 9])
     def test_residual_on_complete(self, n):
@@ -468,6 +481,27 @@ class TestIntCharpoly:
                          label="rows")
         g = Graph(n, rows)
         assert int_charpoly(g).coeffs == faddeev_leverrier_charpoly(g)
+
+    @pytest.mark.parametrize("g, primes", [(star(20), 1), (complete(20), 2),
+                                           (complete(32), 3)])
+    def test_prime_counts_against_reference(self, monkeypatch, g, primes):
+        # the row bit counts pick the primes and when to reduce; each of
+        # these graphs reduces, and each prime count must give the reference
+        coeffs, used = _charpoly_and_reduced_primes(monkeypatch, g)
+        assert coeffs == faddeev_leverrier_charpoly(g)
+        assert used and set(used) == {primes}
+
+    def test_bits_above_the_order_are_not_entries(self, monkeypatch):
+        # bit 3 of a 3-vertex row lies past the matrix, as adjacency_matrix drops it
+        g = Graph(3, [8, 0, 0])
+        assert not g.adjacency_matrix().any()
+        assert int_charpoly(g).coeffs == (0, 0, 0, 1)
+        # counted, bits 21-23 of every row would make the bound ask for two primes
+        s = star(20)
+        padded = Graph(21, [r | 7 << 21 for r in s.rows])
+        coeffs, used = _charpoly_and_reduced_primes(monkeypatch, padded)
+        assert coeffs == int_charpoly(s).coeffs
+        assert used and set(used) == {1}
 
     def test_reductions_keep_order_32_exact(self, monkeypatch):
         rng = random.Random(19)
