@@ -40,18 +40,24 @@ class Partition:
 
     The blocks are checked once, here: every vertex a nonnegative
     integer in at most one block, no block empty.  ``masks`` holds each
-    block as a bitmask and ``cover`` their union, so :meth:`validate`
-    only compares ``cover`` with n.
+    block as a bitmask and ``cover`` their union, ``top`` the largest
+    vertex, so :meth:`validate` only compares ``top`` and ``cover`` with
+    n.  A partition that validates has every vertex below its count of
+    vertices, so a larger one gets no bit, whatever its size: a set
+    finds its repeats, and ``top`` rejects it in :meth:`validate`.
     """
 
     blocks: tuple
     masks: tuple = field(init=False, repr=False, compare=False)
     cover: int = field(init=False, repr=False, compare=False)
+    top: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         blocks = tuple(tuple(b) for b in self.blocks)
+        count = sum(map(len, blocks))
         masks = []
         cover = 0
+        beyond = set()  # the vertices >= count
         for b in blocks:
             if not b:
                 raise ValueError("partition block is empty")
@@ -59,24 +65,32 @@ class Partition:
             for v in b:
                 if not (isinstance(v, int) and v >= 0):
                     raise ValueError(f"vertex {v!r} out of range")
-                bit = 1 << v
-                if (cover | m) & bit:
+                if v < count:
+                    bit = 1 << v
+                    if (cover | m) & bit:
+                        raise ValueError(f"vertex {v} appears in two blocks")
+                    m |= bit
+                elif v in beyond:
                     raise ValueError(f"vertex {v} appears in two blocks")
-                m |= bit
+                else:
+                    beyond.add(v)
             masks.append(m)
             cover |= m
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "masks", tuple(masks))
         object.__setattr__(self, "cover", cover)
+        object.__setattr__(self, "top", max(beyond, default=cover.bit_length() - 1))
 
     @property
     def sizes(self):
         return tuple(len(b) for b in self.blocks)
 
     def validate(self, n):
-        if self.cover >> n:
-            raise ValueError(f"vertex {self.cover.bit_length() - 1} out of range")
-        if self.cover.bit_count() != n:  # every bit is below n, so all n are set
+        if self.top >= n:
+            raise ValueError(f"vertex {self.top} out of range")
+        # every vertex is below n, so every bit is; a vertex >= count has no
+        # bit, and then fewer than count < n are set: n bits are 0..n-1
+        if self.cover.bit_count() != n:
             raise ValueError("partition does not cover the vertex set")
         return self
 

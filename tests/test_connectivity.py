@@ -1,4 +1,5 @@
-"""Vertex connectivity: max-flow route, subset route, witnesses, degree bounds."""
+"""Vertex connectivity and the k-set decision, against networkx and brute
+force: witnesses, the degree bounds, and the search's BFS counts."""
 
 import random
 from collections import Counter
@@ -10,9 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from networkx.algorithms.connectivity import local_node_connectivity
 
-from conftest import path, random_connected_graph, random_graph
+from conftest import path, random_graph
 from specrad import connectivity
 from specrad.graphs import (
     ExtremalParams,
@@ -27,7 +27,6 @@ from specrad.graphs import (
 )
 from specrad.connectivity import (
     CutWitness,
-    _split_maxflow,
     connectivity_at_most,
     vertex_connectivity,
 )
@@ -157,6 +156,20 @@ class TestVertexConnectivity:
                     w.check(g)
         assert kinds == {"complete", "connected", "disconnected"}
 
+    def test_clique_joins_are_cut_by_their_universal_vertices(self, bfs_calls):
+        # every family graph K_k + (K_a u K_b): the search at k = |U| is
+        # one BFS on G - U, which finds it disconnected; when k = delta
+        # there is no search, and a vertex of degree k has N(v) = U
+        for n in range(3, 13):
+            for kk in range(1, n - 1):
+                for d in range(kk, n - 1):
+                    g = extremal_graph(ExtremalParams(n, kk, d))
+                    universal = {v for v, r in enumerate(g.rows) if r.bit_count() == n - 1}
+                    bfs_calls.clear()
+                    k, w = vertex_connectivity(g)
+                    assert len(bfs_calls) == (kk < min_degree(g))
+                    assert k == kk and w.cut == universal == set(range(kk))
+
     def test_whitney_bound(self):
         rng = random.Random(22)
         for _ in range(60):
@@ -183,17 +196,17 @@ class TestCutWitness:
 
 
 class TestSubsetRoute:
-    def test_agrees_with_flow_route(self):
+    def test_agrees_with_networkx(self):
         rng = random.Random(23)
         graphs = [random_graph(rng, rng.randint(1, 8)) for _ in range(80)]
         # the census orders
         graphs += [random_graph(rng, n, p) for n in (8, 9, 10) for p in (0.3, 0.5, 0.7, 0.9)
                    for _ in range(5)]
         for g in graphs:
-            kappa = vertex_connectivity(g)[0]
-            want = nx.node_connectivity(to_networkx(g))
+            kappa = nx.node_connectivity(to_networkx(g))
+            assert vertex_connectivity(g)[0] == kappa
             for k in range(-2, g.n + 2):
-                assert connectivity_at_most(g, k) == (kappa <= k) == (want <= k)
+                assert connectivity_at_most(g, k) == (kappa <= k)
 
     def test_atlas_against_definition(self):
         # every atlas graph on 1-7 vertices, the disconnected and complete ones
@@ -219,118 +232,11 @@ class TestSubsetRoute:
             assert not connectivity_at_most(g, -1)
 
 
-class TestMengerConsistency:
-    def test_flow_equals_min_cut_over_pairs(self):
-        # max vertex-disjoint path count == min separating set, spot-checked
-        # by brute force over all separators for random non-adjacent pairs
-        rng = random.Random(24)
-        checked = 0
-        while checked < 200:
-            g = random_connected_graph(rng, rng.randint(4, 8))
-            pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
-                     if not g.rows[u] >> v & 1]
-            if not pairs:
-                continue
-            u, v = pairs[rng.randrange(len(pairs))]
-            flow, _ = _split_maxflow(neighbour_lists(g), u, v, cap_limit=g.n)
-            h = to_networkx(g)
-            best = None
-            others = [w for w in range(g.n) if w not in (u, v)]
-            for size in range(len(others) + 1):
-                for combo in combinations(others, size):
-                    if not nx.has_path(h.subgraph(set(range(g.n)) - set(combo)), u, v):
-                        best = size
-                        break
-                if best is not None:
-                    break
-            assert flow == best
-            checked += 1
-
-
 def to_networkx(g):
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges())
     return h
-
-
-def neighbour_lists(g):
-    return [[u for u in range(g.n) if g.rows[v] >> u & 1] for v in range(g.n)]
-
-
-def residual_cut(parent):
-    """Vertices whose split in-node is reached and out-node is not."""
-    return {v for v in range(len(parent) // 2) if parent[2 * v] >= 0 > parent[2 * v + 1]}
-
-
-def chain(*vs):
-    return list(zip(vs, vs[1:]))
-
-
-class TestSplitMaxflow:
-    # s = 0, t = 4.  In each graph the unique shortest s-t path, which BFS
-    # augments first, blocks a second disjoint path, so a later unit must
-    # cancel flow on it.
-    REROUTES = {
-        # chord 1-7 on s-1-2-3-t and s-5-6-7-t: the second unit cancels 1 -> 7
-        "arc": (chain(0, 1, 2, 3, 4) + chain(0, 5, 6, 7, 4) + [(1, 7)], 2, {1, 5}),
-        # s-1-2-3-t, entered at 3 and left at 1: the second unit runs back
-        # through all of vertex 2 (the reverse split arc) and frees it
-        "vertex": (chain(0, 1, 2, 3, 4) + chain(0, 5, 6, 7, 3) + chain(1, 8, 9, 10, 4),
-                   2, {1, 5}),
-        # as "vertex", and the third unit needs vertex 2 once it is free
-        "freed": (chain(0, 1, 2, 3, 4) + chain(0, 5, 6, 7, 3) + chain(1, 8, 9, 10, 4)
-                  + chain(0, 11, 12, 13, 14, 15, 2) + chain(2, 16, 17, 18, 19, 20, 4),
-                  3, {1, 5, 11}),
-    }
-
-    @pytest.mark.parametrize("name", sorted(REROUTES))
-    def test_later_unit_cancels_earlier_flow(self, name):
-        edges, want, want_cut = self.REROUTES[name]
-        h = nx.Graph(edges)
-        assert len(list(nx.all_shortest_paths(h, 0, 4))) == 1
-        assert local_node_connectivity(h, 0, 4) == want
-        g = from_edges(h.number_of_nodes(), edges)
-        flow, parent = _split_maxflow(neighbour_lists(g), 0, 4, cap_limit=g.n)
-        assert flow == want
-        assert residual_cut(parent) == want_cut
-
-    @pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
-    def test_vs_networkx_local_connectivity(self, p):
-        rng = random.Random(100 + int(p * 10))
-        checked = 0
-        while checked < 60:
-            g = random_graph(rng, rng.randint(9, 16), p)
-            pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
-                     if not g.rows[u] >> v & 1]
-            if not pairs:
-                continue
-            s, t = pairs[rng.randrange(len(pairs))]
-            flow, parent = _split_maxflow(neighbour_lists(g), s, t, cap_limit=g.n)
-            assert flow == local_node_connectivity(to_networkx(g), s, t)
-            cut = residual_cut(parent)
-            assert len(cut) == flow and not cut & {s, t}
-            assert not nx.has_path(to_networkx(g).subgraph(set(range(g.n)) - cut), s, t)
-            checked += 1
-
-    def test_cap_limit_exits_early(self):
-        rng = random.Random(26)
-        for _ in range(40):
-            g = random_connected_graph(rng, rng.randint(4, 14), rng.choice([0.3, 0.5, 0.7]))
-            pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
-                     if not g.rows[u] >> v & 1]
-            if not pairs:
-                continue
-            s, t = pairs[rng.randrange(len(pairs))]
-            nbrs = neighbour_lists(g)
-            true = local_node_connectivity(to_networkx(g), s, t)
-            uncapped_cut = residual_cut(_split_maxflow(nbrs, s, t, cap_limit=g.n)[1])
-            for c in range(true + 2):
-                flow, parent = _split_maxflow(nbrs, s, t, cap_limit=c)
-                if true > c:
-                    assert flow == c + 1 and parent is None
-                else:
-                    assert flow == true and residual_cut(parent) == uncapped_cut
 
 
 @pytest.fixture
@@ -500,6 +406,16 @@ def small_graphs(draw, max_n=12):
     return from_edges(n, drawn)
 
 
+def assert_witnessed(g, kappa):
+    """vertex_connectivity(g) gives kappa and, unless g is complete, a
+    witness of kappa vertices that separates."""
+    k, w = vertex_connectivity(g)
+    assert k == kappa
+    if w is not None:
+        assert len(w.cut) == kappa
+        w.check(g)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(small_graphs())
 @example(complete(12))
@@ -507,7 +423,8 @@ def small_graphs(draw, max_n=12):
 @example(from_edges(12, [(i, j) for i in range(12) for j in range(i + 2, 12)]))  # P_12 complement
 def test_decision_matches_vertex_connectivity(g):
     # complements of sparse draws are dense graphs, where the lower bound acts
-    kappa = vertex_connectivity(g)[0]
+    kappa = nx.node_connectivity(to_networkx(g))
+    assert_witnessed(g, kappa)
     for k in range(-1, g.n + 2):
         assert connectivity_at_most(g, k) == (kappa <= k)
 
@@ -576,7 +493,8 @@ def test_branching_search_matches_vertex_connectivity():
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(tight_side_graphs())
     def check(g):
-        kappa = vertex_connectivity(g)[0]
+        kappa = nx.node_connectivity(to_networkx(g))
+        assert_witnessed(g, kappa)
         for k in range(-1, g.n + 2):
             assert connectivity_at_most(g, k) == (kappa <= k)
             search = heavy_search(g, k)

@@ -97,6 +97,20 @@ class TestPartitionChecksOnce:
         q = Partition(((0, 2), (1, 3)))
         assert q.validate(4) is q
 
+    @pytest.mark.parametrize("label", [2**64, 2**70], ids=["2^64", "2^70"])
+    def test_huge_vertex_builds_no_mask(self, label):
+        # a partition that validates has every vertex below its count of
+        # vertices, so a larger one gets no bit: it is rejected with
+        # ValueError, not MemoryError or OverflowError, in the usual order
+        p = Partition(((0,), (label,)))
+        assert p.cover == 1
+        with pytest.raises(ValueError, match=f"vertex {label} out of range"):
+            p.validate(2)
+        with pytest.raises(ValueError, match="cover"):
+            p.validate(label + 1)
+        with pytest.raises(ValueError, match=f"vertex {label} appears in two blocks"):
+            Partition(((0,), (label,), (label,)))
+
     def test_masks_agree_with_blocks(self):
         rng = random.Random(35)
         for _ in range(50):
