@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from networkx.algorithms.connectivity import local_node_connectivity
 
-from conftest import path, random_graph
+from conftest import path, random_connected_graph, random_graph
 from specrad import connectivity
 from specrad.graphs import (
     ExtremalParams,
@@ -176,6 +177,66 @@ class TestVertexConnectivity:
             g = random_graph(rng, rng.randint(2, 8))
             assert vertex_connectivity(g)[0] <= min_degree(g)
 
+    def test_search_stops_at_the_first_separating_k(self, monkeypatch):
+        # the search runs for k = |U|, |U| + 1, ... and stops at kappa;
+        # when kappa = delta it tries every k below delta and none separates
+        calls = []
+        real = connectivity._separated_rest
+
+        def counting(rows, k, delta):
+            calls.append(k)
+            return real(rows, k, delta)
+
+        monkeypatch.setattr(connectivity, "_separated_rest", counting)
+        rng = random.Random(27)
+        seen = set()
+        for _ in range(80):
+            g = random_connected_graph(rng, rng.randint(3, 10), rng.choice([0.4, 0.7, 0.9]))
+            universal = sum(r.bit_count() == g.n - 1 for r in g.rows)
+            if universal == g.n:
+                continue
+            delta = min_degree(g)
+            calls.clear()
+            k = vertex_connectivity(g)[0]
+            assert calls == list(range(universal, min(k + 1, delta)))
+            seen.add(k == delta)
+        assert seen == {False, True}
+
+    def test_whitney_fallback_cuts_a_minimum_degree_neighbourhood(self):
+        # when no k-set below delta separates, the cut is N(v) for the
+        # first vertex v of minimum degree
+        rng = random.Random(28)
+        checked = 0
+        while checked < 40:
+            g = random_connected_graph(rng, rng.randint(3, 10), 0.7)
+            k, w = vertex_connectivity(g)
+            delta = min_degree(g)
+            if w is None or k < delta:
+                continue
+            v = next(v for v, r in enumerate(g.rows) if r.bit_count() == delta)
+            assert w.cut == {u for u in range(g.n) if g.rows[v] >> u & 1}
+            w.check(g)
+            checked += 1
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_regular_graphs_force_no_vertex(self, d):
+        # in a d-regular graph on 12 vertices no degree reaches
+        # top = 11 - d + k, so the search has no forced set to start from
+        kappas = set()
+        for seed in range(8):
+            h = nx.random_regular_graph(d, 12, seed=seed)
+            if not nx.is_connected(h):
+                continue
+            g = from_edges(12, list(h.edges()))
+            kappa = nx.node_connectivity(h)
+            k, w = vertex_connectivity(g)
+            assert k == kappa and len(w.cut) == k
+            w.check(g)
+            for j in range(-1, g.n + 1):
+                assert connectivity_at_most(g, j) == (kappa <= j)
+            kappas.add(kappa)
+        assert kappas
+
 
 class TestCutWitness:
     @pytest.mark.parametrize("g, cut", [
@@ -230,6 +291,28 @@ class TestSubsetRoute:
         # kappa >= 0 for every graph, the disconnected ones included
         for g in (disjoint_union(complete(2), complete(2)), complete(1), path(4)):
             assert not connectivity_at_most(g, -1)
+
+
+class TestMengerConsistency:
+    def test_cut_separates_a_pair_of_least_local_connectivity(self):
+        # Menger: for non-complete G, kappa(G) is the least number of
+        # internally disjoint paths between two non-adjacent vertices,
+        # which networkx counts by a max-flow; a pair that the witness
+        # separates has exactly kappa of them
+        rng = random.Random(24)
+        checked = 0
+        while checked < 60:
+            g = random_connected_graph(rng, rng.randint(4, 9), rng.choice([0.3, 0.5, 0.7]))
+            h = to_networkx(g)
+            pairs = [(u, v) for u, v in combinations(range(g.n), 2) if not h.has_edge(u, v)]
+            if not pairs:
+                continue
+            k, w = vertex_connectivity(g)
+            assert k == min(local_node_connectivity(h, u, v) for u, v in pairs)
+            sides = list(nx.connected_components(h.subgraph(set(range(g.n)) - w.cut)))
+            assert len(sides) >= 2
+            assert local_node_connectivity(h, min(sides[0]), min(sides[1])) == k
+            checked += 1
 
 
 def to_networkx(g):
