@@ -5,18 +5,26 @@
   by :class:`PerronPair`) and the spectral radii of a batch;
 * :func:`int_charpoly` / :func:`exact_compare_rho` -- exact integer
   characteristic polynomials with exact largest-root comparison, used to
-  resolve census ties where float equality proves nothing.  The traces
-  of A, A^2, ..., A^n come from float64 matmuls modulo word-size primes,
-  reduced (an exact int64 remainder) only when an integer bound says a
-  product could reach 2^53, so every partial sum and trace is an exact
-  float; Newton's identities then run modulo the product M of the
-  primes, and M exceeds twice a proven coefficient bound B.  Float
-  eigenvalues only seed the brackets that :mod:`specrad.exactroots`
-  certifies with Descartes' rule of signs.  Before any characteristic
-  polynomial, :func:`exact_compare_rho` screens graphs whose degree
-  sequences differ: each float Perron vector, rounded to positive
-  integers, gives an exact Collatz-Wielandt enclosure of the radius, and
-  disjoint enclosures settle the order.
+  resolve census ties where float equality proves nothing.  Twin vertices
+  (equal closed or equal open rows) split off first: for their classes C
+  and the m x m quotient Q, det(xI - A) = det(xI - Q) times
+  (x - lam_C)^(|C| - 1), lam_C = -1 on true twins and 0 on false ones
+  (equitable partitions; Cvetkovic, Rowlinson and Simic, An Introduction
+  to the Theory of Graph Spectra, 2010).  The paper's clique join has
+  three classes, so its charpoly is the cubic times (x + 1)^(n - 3), and
+  a twin-free graph has Q = A.  The traces of Q, Q^2, ..., Q^m come from
+  float64 matmuls modulo word-size primes, reduced (an exact int64
+  remainder) only when an integer bound says a product could reach 2^53,
+  so every partial sum and trace is an exact float; Newton's identities
+  then run modulo the product M of the primes, and M exceeds twice a
+  bound B on det(xI - Q)'s coefficients (Schur's and Maclaurin's
+  inequalities, from the ones in A).  Float eigenvalues only seed the
+  brackets that :mod:`specrad.exactroots` certifies with Descartes' rule
+  of signs.  Before any characteristic polynomial,
+  :func:`exact_compare_rho` screens graphs whose degree sequences differ:
+  each float Perron vector, rounded to positive integers, gives an exact
+  Collatz-Wielandt enclosure of the radius, and disjoint enclosures
+  settle the order.
 """
 
 from __future__ import annotations
@@ -145,27 +153,32 @@ def perron_rho_batch(mats):
     return np.linalg.eigvalsh(a)[:, -1]
 
 
-# int_charpoly reads the traces of A, A^2, ..., A^n modulo these primes, at
-# most 2^30.  A stored power is reduced (_reduce) before the next product
-# could reach 2^53, and a reduced power has entries below max(p); a row of
-# A holds at most n <= 32 ones, so the next power's entries and its trace
-# stay below 32 * 32 * 2^30 = 2^40 < 2^53: float64 holds every partial sum
-# exactly, whatever order BLAS sums in.  All three multiply to M > 2^89,
-# above twice charpoly_bound(32, 32 * 32) (below 2^87), so Newton's
-# identities modulo M give every coefficient of every 0/1 matrix of order
-# n <= 32; every prime exceeds 32, so each divisor k <= n is a unit mod M.
+# int_charpoly reads the traces of Q, Q^2, ..., Q^m, Q the twin quotient of
+# order m <= 32, modulo these primes, at most 2^30.  A stored power is reduced
+# (_reduce) before the next product could reach 2^53, and a reduced power has
+# entries below max(p); a row of Q sums to a row sum dmax of A, so the next
+# power's entries and its trace stay below m * dmax * 2^30, which int_charpoly
+# checks is below 2^53 (it is for every n <= 32, as 32 * 32 * 2^30 = 2^40):
+# float64 holds every partial sum exactly, whatever order BLAS sums in.  All
+# three multiply to M > 2^89, above twice charpoly_bound(m, ones) for every
+# m <= 32 and ones <= 1024 (the largest, at (32, 1024), is below 2^86), so
+# Newton's identities modulo M give every coefficient of det(xI - Q) for every
+# 0/1 matrix of order n <= 32; every prime exceeds 32, so each divisor k <= m
+# is a unit mod M.
 CHARPOLY_PRIMES = (2**30 - 35, 2**30 - 41, 2**30 - 83)
 
 
 def _crt_table(primes):
     """(M, weights, inverses, pv, pmax) for the product M of `primes`.
 
-    x = sum(r_i * w_i) mod M has x = r_i mod p_i, and inverses[k] is
-    1/k mod M for 1 <= k <= 32 (inverses[0] is unused).  pv holds the
-    primes as int64, for :func:`_reduce`, and pmax is the largest.
+    x = sum(r_i * w_i) mod M has x = r_i mod p_i; the weights w_i are
+    Python integers in an object array, so an int64 array of residues
+    times it is an exact object matmul.  inverses[k] is 1/k mod M for
+    1 <= k <= 32 (inverses[0] is unused).  pv holds the primes as int64,
+    for :func:`_reduce`, and pmax is the largest.
     """
     modulus = math.prod(primes)
-    weights = tuple(modulus // p * pow(modulus // p, -1, p) for p in primes)
+    weights = np.array([modulus // p * pow(modulus // p, -1, p) for p in primes], dtype=object)
     inverses = (0,) + tuple(pow(k, -1, modulus) for k in range(1, 33))
     return modulus, weights, inverses, np.array(primes, dtype=np.int64), max(primes)
 
@@ -185,82 +198,205 @@ def _reduce(block, primes):
 
 
 def charpoly_bound(n, ones):
-    """Integer B >= |c| for every coefficient c of det(xI - A), A an n x n 0/1 matrix.
+    """Integer B >= |c| for every coefficient c of an n x n matrix's charpoly.
 
-    `ones` counts the nonzero entries of A (twice the edges of a graph).
-    The coefficient of x^(n-k) is +- the sum of the principal k x k
-    minors.  Hadamard's inequality bounds a minor on rows S by the
-    product of sqrt(d_i), i in S, with d_i the ones in row i; summed over
-    S that is e_k(sqrt(d)), which Maclaurin's inequality and concavity
-    bound by C(n, k) (ones / n)^(k/2).  No symmetry is assumed.
+    The matrix is A, a 0/1 matrix with `ones` nonzero entries (twice the
+    edges of a graph), or any n x n matrix whose eigenvalues are some of
+    A's, counted with multiplicity, such as the twin quotient Q of
+    :func:`int_charpoly`: det(xI - A) is det(xI - Q) times linear factors.
+    The coefficient of x^(n-k) is +- e_k of the eigenvalues.  Their squared
+    moduli sum to at most ||A||_F^2 = ones (Schur's inequality), so their
+    mean modulus is at most sqrt(ones / n), and Maclaurin's inequality bounds
+    |e_k| <= e_k(|lambda|) by C(n, k) (ones / n)^(k/2).  No symmetry is
+    assumed.
 
     B is isqrt(T_k) + 1 for the largest term T_k = C(n, k)^2 ones^k / n^k
     (floored).  The ratio T_(k+1) / T_k = ((n - k) / (k + 1))^2 ones / n
     decreases in k, so the terms rise while (n - k)^2 ones >= (k + 1)^2 n
-    and fall after: one integer test per step finds the peak, and only
-    that term is computed.
+    and fall after: the peak is the first k that fails that integer test,
+    and only that term is computed.
     """
-    k = 0
+    # the terms rise while k <= (n s - 1) / (s + 1), s = sqrt(ones / n): a float
+    # guess at the peak, settled by the integer test on each side
+    s = math.sqrt(ones / n)
+    k = min(n, max(0, int((n * s - 1) / (s + 1)) + 1))
+    while k > 0 and (n - k + 1) ** 2 * ones < k**2 * n:
+        k -= 1
     while k < n and (n - k) ** 2 * ones >= (k + 1) ** 2 * n:
         k += 1
     return math.isqrt(math.comb(n, k) ** 2 * ones**k // n**k) + 1
 
 
-def int_charpoly(g):
-    """det(xI - A(g)) with exact integer coefficients.
+def _twin_classes(groups, loops, lam, classes):
+    """Append the twin classes among `groups`, vertex masks of equal keys, to `classes`.
 
-    Power traces and Newton's identities.  The powers A, A^2, ..., A^n
-    are float64 matmuls, one per power, with the primes in use side by
-    side in the columns.  A power is reduced (:func:`_reduce`) only when an
-    integer bound on its entries, times n and the largest row sum of A,
-    says the next power or its trace could reach 2^53.  One einsum reads
-    every trace; the traces are rebuilt by CRT modulo the product M of
-    the primes, and k c_k = -sum(c_(k-i) t_i, i = 1..k) runs modulo M
-    (every prime exceeds n, so k is a unit).  Just enough primes are used
-    for M to exceed twice charpoly_bound(n, ones in A), so the symmetric
-    residue of each c_k is the coefficient itself.  The two exactness
-    invariants -- float partial sums and traces below 2^53, M above 2B --
-    are asserted, the first as n * dmax * max(p) < 2^53, which makes the
-    product after a reduction exact.  Newton's identities need no
-    symmetry: asymmetric and looped rows are taken as they are.
+    A group splits into its loopless part, with eigenvalue lam, and its
+    looped part, with lam + 1; each part of two or more vertices is
+    appended as (mask, eigenvalue).  Returns the other vertices as one-bit masks.
+    """
+    rest = []
+    for c in groups:
+        if c & (c - 1):
+            for part, looped in ((c & ~loops, 0), (c & loops, 1)):
+                if part & (part - 1):
+                    classes.append((part, lam + looped))
+                elif part:
+                    rest.append(part)
+        else:
+            rest.append(c)
+    return rest
+
+
+def _twin_quotient(g):
+    """Twin classes of g's rows and their integer quotient: (q, sizes, powers).
+
+    Rows are read as they are, loops and asymmetry included.  True twins
+    share their closed row (own bit set) and their loop bit; among the
+    vertices left alone, false twins share their open row (own bit
+    cleared) and their loop bit.  Two twins' rows agree outside their
+    class C, so q[a][b], the ones that a vertex of class a has in class b,
+    is the same for every vertex of a: the partition is equitable, and q
+    (float64, exact) is its quotient.  If u, v in C, e_u - e_v is an
+    eigenvector of A^T with eigenvalue lam_C = loop - 1 on a true-twin
+    class and loop on a false-twin class, so
+
+        det(xI - A) = det(xI - Q) * prod over C of (x - lam_C)^(|C| - 1).
+
+    sizes lists the class sizes, in the order of q's rows, and powers maps
+    each lam to the sum of |C| - 1 over the classes with that eigenvalue.
+    When the closed rows and the open rows are each distinct, every class
+    is a singleton and q is the adjacency matrix.  Bits at or above n take
+    part in the keys: rows that differ only there stay apart, and any split
+    of a twin class is itself a twin partition.
     """
     n = g.n
-    if n > 32:
-        raise ValueError(f"int_charpoly capped at n <= 32 (got {n})")
+    rows = g.rows
+    bits = [1 << v for v in range(n)]
+    closed = list(map(operator.or_, rows, bits))
+    if len(set(closed)) == n and len(set(map(operator.xor, closed, bits))) == n:
+        return g.adjacency_matrix(), [1] * n, {}
+    loops = sum(map(operator.and_, rows, bits))  # bit v set iff v has a loop
+    true = {}
+    for key, b in zip(closed, bits):
+        true[key] = true.get(key, 0) | b
+    classes = []  # (mask, eigenvalue) of each class of two or more twins
+    false = {}
+    for b in _twin_classes(true.values(), loops, -1, classes):  # the vertices left alone
+        key = closed[b.bit_length() - 1] ^ b  # the open row
+        false[key] = false.get(key, 0) | b
+    singles = _twin_classes(false.values(), loops, 0, classes)
+    powers = {}
+    for c, lam in classes:
+        powers[lam] = powers.get(lam, 0) + c.bit_count() - 1
+    masks = [c for c, _ in classes] + singles
+    reps = [rows[(c & -c).bit_length() - 1] for c in masks]
+    q = np.array([(r & c).bit_count() for r in reps for c in masks], dtype=float)
+    return q.reshape(len(masks), -1), [c.bit_count() for c in masks], powers
+
+
+def _times_power(c, lam, e):
+    """Coefficients of c(x) (x - lam)^e, ascending, for an integer |lam| <= 1.
+
+    Kronecker substitution: the product is evaluated at x = X = 2^K in one
+    integer multiplication, and its coefficients are read back as signed
+    base-X digits.  Every coefficient is at most sum|c| * 2^e < X / 2 in
+    absolute value, so each digit is determined.
+    """
+    shift = sum(map(abs, c)).bit_length() + e + 1
+    x = 1 << shift
+    v = 0
+    for ci in reversed(c):
+        v = v * x + ci
+    v *= (x - lam) ** e
+    out = []
+    for _ in range(len(c) + e):
+        d = v & (x - 1)
+        if 2 * d >= x:
+            d -= x
+        out.append(d)
+        v = (v - d) >> shift
+    return out
+
+
+def int_charpoly(g):
+    """det(xI - A(g)) with exact integer coefficients, through the twin quotient.
+
+    :func:`_twin_quotient` splits the vertices into twin classes, and
+    det(xI - A) is det(xI - Q) for their m x m quotient Q times
+    (x - lam_C)^(|C| - 1) for each class C: -1 on true twins, 0 on false
+    ones, one more where the twins' rows are looped.  The clique join
+    K_k + (K_a u K_b) has the three classes S, A and B, so its Q is
+    ``two_clique_quotient(k, a, b)`` and the product is (x + 1)^(n - 3)
+    times the paper's cubic; a twin-free graph has Q = A.
+
+    det(xI - Q) comes from power traces and Newton's identities.  The
+    powers Q, Q^2, ..., Q^m are float64 matmuls, one per power, with the
+    primes in use side by side in the columns.  A power is reduced
+    (:func:`_reduce`) only when an integer bound on its entries (Q's are
+    at most the largest class size), times m and the largest row sum of
+    A (also Q's), says the next power or its trace could reach 2^53.  One
+    einsum reads every trace; the traces are rebuilt by CRT modulo the
+    product M of the primes, and k c_k = -sum(c_(k-i) t_i, i = 1..k) runs
+    modulo M (every prime exceeds m, so k is a unit).  Q's eigenvalues are
+    eigenvalues of A, so their squared moduli sum to at most the ones in
+    A (Schur's inequality), and Maclaurin's inequality bounds every
+    coefficient of det(xI - Q) by charpoly_bound(m, ones in A).  Just
+    enough primes are used for M to exceed twice that bound, so the
+    symmetric residue of each c_k is the coefficient itself.  The two
+    exactness invariants -- float partial sums and traces below 2^53 (as
+    m * dmax * max(p) < 2^53, which makes the product after a reduction
+    exact), M above 2B -- are checked.  The factors (x - lam)^e are then
+    multiplied in exactly.  Newton's identities need no symmetry:
+    asymmetric and looped rows are taken as they are.
+
+    Raises ValueError when Q has more than 32 classes, or, which needs
+    n > 32, when M or 2^53 is too small for these bounds.
+    """
+    q, sizes, powers = _twin_quotient(g)
+    m = len(sizes)
+    if m > 32:
+        raise ValueError(f"int_charpoly capped at 32 twin classes (got {m})")
     # the ones of each row that the dense matrix keeps, its n low bits
-    full = (1 << n) - 1
+    full = (1 << g.n) - 1
     ones = [(r & full).bit_count() for r in g.rows]
     dmax = max(ones)
-    bound = charpoly_bound(n, sum(ones))
-    used = next((i for i, crt in enumerate(_CRT, 1) if crt[0] > 2 * bound), len(_CRT))
-    modulus, weights, inverses, pv, pmax = _CRT[used - 1]
-    assert modulus > 2 * bound, "CRT modulus must exceed twice the coefficient bound"
-    assert n * dmax * pmax < 2**53, "a reduced power must multiply exactly"
-    a = g.adjacency_matrix()
-    # pw[k - 1] is A^k with the primes side by side: pw4[k - 1, i, j, t] is
-    # (A^k)[i, j], modulo pv[t] once reduced
-    pw = np.empty((n, n, n * used))
-    pw4 = pw.reshape(n, n, n, used)
-    pw4[0] = a[:, :, None]
-    top = 2  # every entry of pw[k - 1] is below top
-    for k in range(1, n):
-        if n * dmax * top >= 2**53:  # A^(k+1) or its trace could be inexact
+    bound = charpoly_bound(m, sum(ones))
+    for modulus, weights, inverses, pv, pmax in _CRT:
+        if modulus > 2 * bound:
+            break
+    else:
+        raise ValueError(f"int_charpoly: coefficient bound {bound} needs more primes")
+    if m * dmax * pmax >= 2**53:
+        raise ValueError(f"int_charpoly: row sum {dmax} too large for exact traces")
+    used = len(pv)
+    # pw[k - 1] is Q^k with the primes side by side: pw4[k - 1, i, j, t] is
+    # (Q^k)[i, j], modulo pv[t] once reduced
+    pw = np.empty((m, m, m * used))
+    pw4 = pw.reshape(m, m, m, used)
+    pw4[0] = q[:, :, None]
+    views = list(pw)  # the views pw[0], ..., pw[m - 1], made once
+    top = max(sizes) + 1  # every entry of pw[k - 1] is below top
+    for k in range(1, m):
+        if m * dmax * top >= 2**53:  # Q^(k+1) or its trace could be inexact
             _reduce(pw4[k - 1], pv)
             top = pmax
-        np.matmul(a, pw[k - 1], out=pw[k])
+        np.matmul(q, views[k - 1], out=views[k])
         top *= dmax
     # every trace is an integer below 2^53, so int64 holds it; CRT takes any
-    # representative of each residue.  rt[n - i] is t_i, the trace of A^i
-    traces = np.einsum("kiit->kt", pw4)[::-1].astype(np.int64).tolist()
-    rt = [sum(map(operator.mul, rs, weights)) % modulus for rs in traces]
-    c = [1]  # c[k] is the coefficient of x^(n-k), modulo M
-    for k in range(1, n + 1):
-        # c[j] meets rt[n - k + j] = t_(k-j), for j = 0..k-1
-        s = sum(map(operator.mul, c, rt[n - k:]))
+    # representative of each residue, here sum(r_i w_i) in Python integers
+    # (an object matmul).  rt[i - 1] is t_i mod M, t_i the trace of Q^i
+    rt = (np.einsum("kiit->kt", pw4).astype(np.int64) @ weights).tolist()
+    c = [1]  # c[k] is the coefficient of x^(m-k), modulo M
+    for k in range(1, m + 1):
+        # c[j] meets rt[k - 1 - j] = t_(k-j), for j = 0..k-1
+        s = sum(map(operator.mul, c, rt[k - 1::-1]))
         c.append(-s * inverses[k] % modulus)
     # a list, not a generator: on CPython 3.11 a generator expression here
     # made a long benchmark process's peak RSS grow ~4 KB per 80 calls
-    return IntCharPoly(tuple([x - modulus if 2 * x > modulus else x for x in reversed(c)]))
+    c = [x - modulus if 2 * x > modulus else x for x in reversed(c)]
+    for lam, e in powers.items():
+        c = _times_power(c, lam, e)
+    return IntCharPoly(tuple(c))
 
 
 def _below(r, s):

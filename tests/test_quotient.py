@@ -1,5 +1,6 @@
 """Quotient matrices, the closed-form cubic, interlacing, lifting."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from specrad.quotient import (
     quotient_perron,
     two_clique_quotient,
 )
-from specrad.spectral import int_charpoly, perron
+from specrad.spectral import _twin_quotient, int_charpoly, perron
 from test_spectral import _poly_mul, jacobi_eigenvalues
 
 PAW_RHO = 2.170086486626034
@@ -40,6 +41,12 @@ def charpoly3_oracle(q):
            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
     return (-tr, minors, -det)  # (c2, c1, c0)
+
+
+def valid_triples(max_n):
+    """ExtremalParams of every valid (n, k, delta) with n <= max_n."""
+    return [ExtremalParams(n, k, d) for n in range(3, max_n + 1)
+            for k in range(1, n - 1) for d in range(k, n - 1)]
 
 
 def symmetric_form(qm):
@@ -310,7 +317,8 @@ class TestEndToEnd:
                     assert abs(root - rho) <= 1e-9
 
     def test_charpoly_is_cubic_times_power(self):
-        # det(xI - A) = (x + 1)^(n-3) * cubic, exactly, for every valid triple
+        # det(xI - A) = (x + 1)^(n-3) * cubic, exactly, for every valid triple:
+        # the twin identity on the classes S, A and B (see the next test)
         for n in range(4, 16):
             for k in range(1, n - 1):
                 for d in range(k, n - 1):
@@ -319,6 +327,56 @@ class TestEndToEnd:
                     for _ in range(n - 3):
                         want = _poly_mul(want, (1, 1))
                     assert int_charpoly(extremal_graph(p)).coeffs == want, p
+
+    def test_twin_quotient_is_the_two_clique_quotient(self):
+        # S, A and B are the twin classes: the twin quotient is
+        # two_clique_quotient in some class order, its charpoly is the cubic,
+        # and the n - 3 other roots are -1.  With |A| = |B| = 1 the two lone
+        # vertices share their open row S and form one false-twin class:
+        # Q = [[k - 1, 2], [k, 0]], and x det(xI - Q) is the cubic
+        for p in valid_triples(16):
+            q, sizes, powers = _twin_quotient(extremal_graph(p))
+            k, a, b = p.block_sizes
+            cubic = cubic_coefficients(p)
+            if a == b == 1:
+                want_sizes, want_q = (k, 2), [[k - 1, 2], [k, 0]]
+                tr, det = q.trace(), q[0, 0] * q[1, 1] - q[0, 1] * q[1, 0]
+                assert (-tr, det, 0) == (cubic.c2, cubic.c1, cubic.c0), p
+                assert powers == ({-1: k - 1, 0: 1} if k > 1 else {0: 1}), p
+            else:
+                want_sizes, want_q = (k, a, b), two_clique_quotient(k, a, b).matrix.tolist()
+                assert charpoly3_oracle(q) == (cubic.c2, cubic.c1, cubic.c0), p
+                assert powers == {-1: p.n - 3}, p
+            assert any(tuple(sizes[i] for i in order) == want_sizes
+                       and q[np.ix_(order, order)].tolist() == want_q
+                       for order in itertools.permutations(range(len(sizes)))), p
+
+    def test_every_clique_join_makes_two_power_matmuls(self, monkeypatch):
+        # Q, Q^2 and Q^3 for the three classes: two products, whatever n
+        # (one when |A| = |B| = 1 leaves two classes)
+        calls = []
+        real = np.matmul
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counting)
+        for p in valid_triples(16):
+            calls.clear()
+            int_charpoly(extremal_graph(p))
+            _, a, b = p.block_sizes
+            assert len(calls) == (1 if a == b == 1 else 2), p
+            assert set(calls) == {(len(calls) + 1,) * 2}, p
+
+    @pytest.mark.parametrize("n, k, d", [(64, 5, 20), (64, 62, 62), (100, 7, 40), (100, 1, 48)])
+    def test_large_clique_joins_past_order_32(self, n, k, d):
+        # the cap is on the quotient's order, not on n
+        p = ExtremalParams(n, k, d)
+        want = cubic_coefficients(p).as_poly()
+        for _ in range(n - 3):
+            want = _poly_mul(want, (1, 1))
+        assert int_charpoly(extremal_graph(p)).coeffs == want
 
     def test_quotient_largest_eig_equals_rho(self):
         p = ExtremalParams(7, 2, 3)

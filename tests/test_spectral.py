@@ -136,6 +136,11 @@ def _charpoly_and_reduced_primes(monkeypatch, g):
     return coeffs, primes
 
 
+def _twin_free(g):
+    """True iff every twin class of g is a singleton, so int_charpoly runs on A itself."""
+    return len(spectral._twin_quotient(g)[1]) == g.n
+
+
 def _charpoly_and_reductions(monkeypatch, g):
     """int_charpoly(g).coeffs and the number of power reductions it made."""
     coeffs, primes = _charpoly_and_reduced_primes(monkeypatch, g)
@@ -482,11 +487,15 @@ class TestIntCharpoly:
         g = Graph(n, rows)
         assert int_charpoly(g).coeffs == faddeev_leverrier_charpoly(g)
 
-    @pytest.mark.parametrize("g, primes", [(star(20), 1), (complete(20), 2),
-                                           (complete(32), 3)])
+    @pytest.mark.parametrize("g, primes", [(random_graph(random.Random(21), 21, 0.1), 1),
+                                           (random_graph(random.Random(0), 20, 0.9), 2),
+                                           (random_graph(random.Random(0), 32, 0.9), 3)])
     def test_prime_counts_against_reference(self, monkeypatch, g, primes):
-        # the row bit counts pick the primes and when to reduce; each of
-        # these graphs reduces, and each prime count must give the reference
+        # the row bit counts pick the primes and when to reduce.  These
+        # twin-free graphs have the orders and densities of star(20), K_20
+        # and K_32 (whose twin quotients have 2 and 1 classes and never
+        # reduce); each reduces, and each prime count must give the reference
+        assert _twin_free(g)
         coeffs, used = _charpoly_and_reduced_primes(monkeypatch, g)
         assert coeffs == faddeev_leverrier_charpoly(g)
         assert used and set(used) == {primes}
@@ -496,17 +505,25 @@ class TestIntCharpoly:
         g = Graph(3, [8, 0, 0])
         assert not g.adjacency_matrix().any()
         assert int_charpoly(g).coeffs == (0, 0, 0, 1)
-        # counted, bits 21-23 of every row would make the bound ask for two primes
-        s = star(20)
+        # counted, bits 21-23 of every row would make the bound ask for two
+        # primes; a twin-free graph keeps its 21 classes when they are set
+        s = random_graph(random.Random(21), 21, 0.1)
+        assert 2 * charpoly_bound(21, 2 * s.edge_count + 3 * 21) > CHARPOLY_PRIMES[0]
         padded = Graph(21, [r | 7 << 21 for r in s.rows])
+        assert _twin_free(padded)
         coeffs, used = _charpoly_and_reduced_primes(monkeypatch, padded)
         assert coeffs == int_charpoly(s).coeffs
         assert used and set(used) == {1}
 
     def test_reductions_keep_order_32_exact(self, monkeypatch):
-        rng = random.Random(19)
-        ones = Graph(32, ((1 << 32) - 1,) * 32)
-        for g in (ones, complete(32), random_graph(rng, 32, 0.9)):
+        # twin-free stand-ins for the all-ones J_32 and K_32, which are one
+        # class each: dense looped rows and a dense graph, and a random graph
+        rng = random.Random(28)
+        looped = Graph(32, [sum(1 << j for j in range(32) if rng.random() < 0.95)
+                            for _ in range(32)])
+        for g in (looped, random_graph(random.Random(14), 32, 0.93),
+                  random_graph(random.Random(19), 32, 0.9)):
+            assert _twin_free(g)
             coeffs, reductions = _charpoly_and_reductions(monkeypatch, g)
             assert reductions > 0
             assert coeffs == faddeev_leverrier_charpoly(g)
@@ -569,6 +586,153 @@ class TestIntCharpoly:
             j = Graph(n, ((1 << n) - 1,) * n)
             assert int_charpoly(j).coeffs == (0,) * (n - 1) + (-n, 1)
             assert n <= charpoly_bound(n, n * n)
+
+
+def _blow_up(base, sizes, kinds, loops, perm):
+    """base's vertex u becomes a class of sizes[u] vertices, relabelled by perm.
+
+    kinds[u] is True for true twins (a clique) and False for false twins
+    (independent); loops[u] puts a loop on every vertex of the class.
+    Between classes u and w, row bit w of base[u] gives every edge.
+    """
+    members = []
+    for s in sizes:
+        start = sum(map(len, members))
+        members.append([perm[i] for i in range(start, start + s)])
+    rows = [0] * len(perm)
+    for u, xs in enumerate(members):
+        out = 0
+        for w, ys in enumerate(members):
+            if w != u and base[u] >> w & 1:
+                out |= sum(1 << y for y in ys)
+        for x in xs:
+            inner = sum(1 << y for y in xs if y != x) if kinds[u] else 0
+            rows[x] = out | inner | (loops[u] << x)
+    return Graph(len(perm), rows)
+
+
+@st.composite
+def planted_twins(draw):
+    """(graph, base order, symmetric?): a random base blown up into twin classes."""
+    b = draw(st.integers(1, 8), label="base order")
+    base = draw(st.lists(st.integers(0, (1 << b) - 1), min_size=b, max_size=b), label="base")
+    symmetric = draw(st.booleans(), label="symmetric")
+    if symmetric:
+        base = [sum(1 << w for w in range(b) if base[min(u, w)] >> max(u, w) & 1)
+                for u in range(b)]
+    sizes = draw(st.lists(st.integers(1, 4), min_size=b, max_size=b), label="sizes")
+    kinds = draw(st.lists(st.booleans(), min_size=b, max_size=b), label="true twins")
+    loops = draw(st.lists(st.booleans(), min_size=b, max_size=b), label="loops")
+    perm = draw(st.permutations(range(sum(sizes))), label="labels")
+    return _blow_up(base, sizes, kinds, loops, perm), b, symmetric
+
+
+@st.composite
+def rows_with_twins(draw):
+    """Arbitrary rows (asymmetric, looped) with copied rows and planted twin pairs."""
+    n = draw(st.integers(2, 32), label="n")
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n), label="rows")
+    plants = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                       st.sampled_from(["copy", "closed", "open"]))
+    for u, v, how in draw(st.lists(plants, max_size=8), label="plants"):
+        loop = rows[u] >> u & 1
+        if how == "copy":
+            rows[v] = rows[u]
+        elif how == "closed":  # equal closed rows, the same loop bit
+            k = rows[u] | 1 << u | 1 << v
+            rows[u], rows[v] = (k, k) if loop else (k ^ 1 << u, k ^ 1 << v)
+        else:  # equal open rows, the same loop bit
+            o = rows[u] & ~(1 << u | 1 << v)
+            rows[u], rows[v] = o | loop << u, o | loop << v
+    return Graph(n, rows)
+
+
+class TestTwinQuotient:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(planted_twins())
+    def test_planted_twins_against_reference(self, case):
+        g, b, symmetric = case
+        assert int_charpoly(g).coeffs == faddeev_leverrier_charpoly(g)
+        if symmetric:
+            # each planted class lies inside one twin class
+            assert len(spectral._twin_quotient(g)[1]) <= b
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(rows_with_twins())
+    def test_asymmetric_looped_and_copied_rows_against_reference(self, g):
+        assert int_charpoly(g).coeffs == faddeev_leverrier_charpoly(g)
+
+    def test_blow_up_of_a_twin_free_graph_keeps_its_classes(self):
+        # a twin-free base's blown-up classes are exactly the twin classes;
+        # each true-twin class gives -1 and each false-twin class 0 its size - 1 times
+        rng = random.Random(23)
+        checked = 0
+        for _ in range(30):
+            h = random_graph(rng, rng.randint(4, 9), 0.5)
+            if not _twin_free(h):
+                continue
+            checked += 1
+            sizes = [rng.randint(1, 3) for _ in range(h.n)]
+            kinds = [rng.random() < 0.5 for _ in range(h.n)]
+            perm = list(range(sum(sizes)))
+            rng.shuffle(perm)
+            g = _blow_up(h.rows, sizes, kinds, [False] * h.n, perm)
+            q, got, powers = spectral._twin_quotient(g)
+            assert sorted(got) == sorted(sizes)
+            want = {-1: sum(s - 1 for s, t in zip(sizes, kinds) if t),
+                    0: sum(s - 1 for s, t in zip(sizes, kinds) if not t)}
+            assert powers == {lam: e for lam, e in want.items() if e}
+            assert int_charpoly(g).coeffs == faddeev_leverrier_charpoly(g)
+        assert checked >= 10
+
+    def test_twin_rich_graphs_against_reference(self):
+        # K_n, J and stars reduce to one or two classes; the identity
+        # matrix is one looped false-twin class, det(xI - I) = (x - 1)^5
+        full = (1 << 32) - 1
+        cases = [(star(20), 2), (complete(20), 1), (complete(32), 1),
+                 (Graph(32, (full,) * 32), 1), (from_edges(5, []), 1),
+                 (Graph(5, [1 << i for i in range(5)]), 1)]
+        for g, m in cases:
+            assert len(spectral._twin_quotient(g)[1]) == m
+            assert int_charpoly(g).coeffs == faddeev_leverrier_charpoly(g)
+        assert int_charpoly(Graph(5, [1 << i for i in range(5)])).coeffs == (-1, 5, -10, 10, -5, 1)
+        # bits 21-23 set in every row of star(20) leave its classes and charpoly
+        s = star(20)
+        padded = Graph(21, [r | 7 << 21 for r in s.rows])
+        assert len(spectral._twin_quotient(padded)[1]) == 2
+        assert int_charpoly(padded).coeffs == int_charpoly(s).coeffs
+
+    def test_times_power_against_repeated_products(self):
+        rng = random.Random(24)
+        for lam in (-1, 0, 1):
+            for e in range(7):
+                c = [rng.randint(-50, 50) for _ in range(rng.randint(1, 5))]
+                want = list(c)
+                for _ in range(e):
+                    want = list(_poly_mul(want, (-lam, 1)))
+                assert spectral._times_power(c, lam, e) == want, (c, lam, e)
+
+    def test_coefficient_bound_past_the_modulus_raises(self):
+        # 32 classes of 3 true twins over a dense twin-free graph: n = 96 and
+        # ~8,000 ones put charpoly_bound(32, ones) past M / 2
+        rng = random.Random(25)
+        h = random_graph(random.Random(0), 32, 0.9)
+        assert _twin_free(h)
+        perm = list(range(96))
+        rng.shuffle(perm)
+        g = _blow_up(h.rows, [3] * 32, [True] * 32, [False] * 32, perm)
+        assert len(spectral._twin_quotient(g)[1]) == 32
+        with pytest.raises(ValueError, match="primes"):
+            int_charpoly(g)
+
+    def test_bound_fits_the_modulus_through_order_32(self):
+        # every quotient of order m <= 32 of a matrix with at most 32 * 32
+        # ones; the largest bound, at (32, 1024), has 86 bits against M's 90
+        modulus = math.prod(CHARPOLY_PRIMES)
+        worst = max((charpoly_bound(m, t), m, t) for m in range(1, 33) for t in range(1025))
+        assert 2 * worst[0] < modulus
+        assert worst[1:] == (32, 1024)
+        assert worst[0].bit_length() == 86 and modulus.bit_length() == 90
 
 
 class TestExactCompare:
