@@ -37,6 +37,9 @@ class Graph:
     ``rows[i]`` is the neighbour bitmask of vertex i.  ``Graph(n, rows)``
     stores the rows as a tuple and checks only their count: exact-algebra
     tests pass asymmetric and looped 0/1 rows through it on purpose.
+    Bits at or above n are not entries: :meth:`adjacency_matrix` and
+    :func:`specrad.spectral.int_charpoly` read only the n low bits, and
+    :meth:`validate` rejects a row that has one.
     The module constructors (:func:`from_edges` and the families) and
     :func:`g6_decode` build valid graphs; :meth:`validate` checks one.
     """
@@ -83,7 +86,8 @@ class Graph:
 
         n = self.n
         nbytes = (n + 7) // 8
-        raw = b"".join([r.to_bytes(nbytes, "little") for r in self.rows])
+        full = (1 << n) - 1  # bits at or above n are not entries
+        raw = b"".join([(r & full).to_bytes(nbytes, "little") for r in self.rows])
         bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(n, nbytes),
                              axis=1, count=n, bitorder="little")
         return bits.astype(float)

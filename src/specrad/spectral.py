@@ -5,26 +5,27 @@
   by :class:`PerronPair`) and the spectral radii of a batch;
 * :func:`int_charpoly` / :func:`exact_compare_rho` -- exact integer
   characteristic polynomials with exact largest-root comparison, used to
-  resolve census ties where float equality proves nothing.  Twin vertices
-  (equal closed or equal open rows) split off first: for their classes C
-  and the m x m quotient Q, det(xI - A) = det(xI - Q) times
-  (x - lam_C)^(|C| - 1), lam_C = -1 on true twins and 0 on false ones
-  (equitable partitions; Cvetkovic, Rowlinson and Simic, An Introduction
-  to the Theory of Graph Spectra, 2010).  The paper's clique join has
-  three classes, so its charpoly is the cubic times (x + 1)^(n - 3), and
-  a twin-free graph has Q = A.  The traces of Q, Q^2, ..., Q^m come from
-  float64 matmuls modulo word-size primes, reduced (an exact int64
-  remainder) only when an integer bound says a product could reach 2^53,
-  so every partial sum and trace is an exact float; Newton's identities
-  then run modulo the product M of the primes, and M exceeds twice a
-  bound B on det(xI - Q)'s coefficients (Schur's and Maclaurin's
-  inequalities, from the ones in A).  Float eigenvalues only seed the
-  brackets that :mod:`specrad.exactroots` certifies with Descartes' rule
-  of signs.  Before any characteristic polynomial,
-  :func:`exact_compare_rho` screens graphs whose degree sequences differ:
-  each float Perron vector, rounded to positive integers, gives an exact
-  Collatz-Wielandt enclosure of the radius, and disjoint enclosures
-  settle the order.
+  resolve census ties where float equality proves nothing.  Loopless true
+  twins (equal closed rows) split off first: for their m classes and the
+  m x m quotient Q, det(xI - A) = det(xI - Q) (x + 1)^(n - m), each twin
+  pair giving the eigenvalue -1 (equitable partitions; Cvetkovic,
+  Rowlinson and Simic, An Introduction to the Theory of Graph Spectra,
+  2010).  The paper's clique join has three classes, so its charpoly is
+  the cubic times (x + 1)^(n - 3), and a twin-free graph has Q = A.
+  False twins (equal open rows) are not grouped; no workload needs them,
+  and a graph past order 32 made of them (star(40)) raises.  The traces
+  of Q, Q^2, ..., Q^m come from float64 matmuls modulo word-size primes,
+  reduced (an exact int64 remainder) only when an integer bound says a
+  product could reach 2^53, so every partial sum and trace is an exact
+  float; Newton's identities then run modulo the product M of the
+  primes, and M exceeds twice a bound B on det(xI - Q)'s coefficients
+  (Schur's and Maclaurin's inequalities, from the ones in A).  Float
+  eigenvalues only seed the brackets that :mod:`specrad.exactroots`
+  certifies with Descartes' rule of signs.  Before any characteristic
+  polynomial, :func:`exact_compare_rho` screens graphs whose degree
+  sequences differ: each float Perron vector, rounded to positive
+  integers, gives an exact Collatz-Wielandt enclosure of the radius, and
+  disjoint enclosures settle the order.
 """
 
 from __future__ import annotations
@@ -227,75 +228,44 @@ def charpoly_bound(n, ones):
     return math.isqrt(math.comb(n, k) ** 2 * ones**k // n**k) + 1
 
 
-def _twin_classes(groups, loops, lam, classes):
-    """Append the twin classes among `groups`, vertex masks of equal keys, to `classes`.
-
-    A group splits into its loopless part, with eigenvalue lam, and its
-    looped part, with lam + 1; each part of two or more vertices is
-    appended as (mask, eigenvalue).  Returns the other vertices as one-bit masks.
-    """
-    rest = []
-    for c in groups:
-        if c & (c - 1):
-            for part, looped in ((c & ~loops, 0), (c & loops, 1)):
-                if part & (part - 1):
-                    classes.append((part, lam + looped))
-                elif part:
-                    rest.append(part)
-        else:
-            rest.append(c)
-    return rest
-
-
 def _twin_quotient(g):
-    """Twin classes of g's rows and their integer quotient: (q, sizes, powers).
+    """Loopless true-twin classes of g's rows and their integer quotient: (q, sizes).
 
-    Rows are read as they are, loops and asymmetry included.  True twins
-    share their closed row (own bit set) and their loop bit; among the
-    vertices left alone, false twins share their open row (own bit
-    cleared) and their loop bit.  Two twins' rows agree outside their
-    class C, so q[a][b], the ones that a vertex of class a has in class b,
-    is the same for every vertex of a: the partition is equitable, and q
-    (float64, exact) is its quotient.  If u, v in C, e_u - e_v is an
-    eigenvector of A^T with eigenvalue lam_C = loop - 1 on a true-twin
-    class and loop on a false-twin class, so
+    Rows are read as they are, asymmetry included.  Loopless true twins
+    share their closed row (own bit set); one dict keyed on that row
+    groups them, and a looped vertex is keyed on ~v, a negative key no
+    closed row has, so it stays alone, as do false twins (equal open
+    rows).  Two twins' rows agree outside their class C, so q[a][b], the
+    ones that a vertex of class a has in class b, is the same for every
+    vertex of a: the partition is equitable, and q (float64, exact) is
+    its quotient.  If u, v in C, row u - row v = e_v - e_u, so e_u - e_v
+    is an eigenvector of A^T with eigenvalue -1 and
 
-        det(xI - A) = det(xI - Q) * prod over C of (x - lam_C)^(|C| - 1).
+        det(xI - A) = det(xI - Q) * (x + 1)^(n - m)
 
-    sizes lists the class sizes, in the order of q's rows, and powers maps
-    each lam to the sum of |C| - 1 over the classes with that eigenvalue.
-    When the closed rows and the open rows are each distinct, every class
-    is a singleton and q is the adjacency matrix.  Bits at or above n take
-    part in the keys: rows that differ only there stay apart, and any split
-    of a twin class is itself a twin partition.
+    for the m classes.  sizes lists the class sizes, in the order of q's
+    rows.  When every key is distinct, every class is a singleton and q
+    is the adjacency matrix.  Bits at or above n take part in the keys:
+    rows that differ only there stay apart, and any split of a twin
+    class is itself a twin partition.
     """
     n = g.n
     rows = g.rows
-    bits = [1 << v for v in range(n)]
-    closed = list(map(operator.or_, rows, bits))
-    if len(set(closed)) == n and len(set(map(operator.xor, closed, bits))) == n:
-        return g.adjacency_matrix(), [1] * n, {}
-    loops = sum(map(operator.and_, rows, bits))  # bit v set iff v has a loop
-    true = {}
-    for key, b in zip(closed, bits):
-        true[key] = true.get(key, 0) | b
-    classes = []  # (mask, eigenvalue) of each class of two or more twins
-    false = {}
-    for b in _twin_classes(true.values(), loops, -1, classes):  # the vertices left alone
-        key = closed[b.bit_length() - 1] ^ b  # the open row
-        false[key] = false.get(key, 0) | b
-    singles = _twin_classes(false.values(), loops, 0, classes)
-    powers = {}
-    for c, lam in classes:
-        powers[lam] = powers.get(lam, 0) + c.bit_count() - 1
-    masks = [c for c, _ in classes] + singles
+    classes = {}
+    for v, r in enumerate(rows):
+        b = 1 << v
+        key = ~v if r & b else r | b
+        classes[key] = classes.get(key, 0) | b
+    if len(classes) == n:
+        return g.adjacency_matrix(), [1] * n
+    masks = list(classes.values())
     reps = [rows[(c & -c).bit_length() - 1] for c in masks]
     q = np.array([(r & c).bit_count() for r in reps for c in masks], dtype=float)
-    return q.reshape(len(masks), -1), [c.bit_count() for c in masks], powers
+    return q.reshape(len(masks), -1), [c.bit_count() for c in masks]
 
 
-def _times_power(c, lam, e):
-    """Coefficients of c(x) (x - lam)^e, ascending, for an integer |lam| <= 1.
+def _times_power(c, e):
+    """Coefficients of c(x) (x + 1)^e, ascending.
 
     Kronecker substitution: the product is evaluated at x = X = 2^K in one
     integer multiplication, and its coefficients are read back as signed
@@ -307,7 +277,7 @@ def _times_power(c, lam, e):
     v = 0
     for ci in reversed(c):
         v = v * x + ci
-    v *= (x - lam) ** e
+    v *= (x + 1) ** e
     out = []
     for _ in range(len(c) + e):
         d = v & (x - 1)
@@ -321,13 +291,12 @@ def _times_power(c, lam, e):
 def int_charpoly(g):
     """det(xI - A(g)) with exact integer coefficients, through the twin quotient.
 
-    :func:`_twin_quotient` splits the vertices into twin classes, and
-    det(xI - A) is det(xI - Q) for their m x m quotient Q times
-    (x - lam_C)^(|C| - 1) for each class C: -1 on true twins, 0 on false
-    ones, one more where the twins' rows are looped.  The clique join
-    K_k + (K_a u K_b) has the three classes S, A and B, so its Q is
-    ``two_clique_quotient(k, a, b)`` and the product is (x + 1)^(n - 3)
-    times the paper's cubic; a twin-free graph has Q = A.
+    :func:`_twin_quotient` groups the loopless true twins (equal closed
+    rows), and det(xI - A) is det(xI - Q) for their m x m quotient Q
+    times (x + 1)^(n - m).  The clique join K_k + (K_a u K_b) has the
+    three classes S, A and B, so its Q is ``two_clique_quotient(k, a, b)``
+    and the product is (x + 1)^(n - 3) times the paper's cubic; a
+    twin-free graph has Q = A.
 
     det(xI - Q) comes from power traces and Newton's identities.  The
     powers Q, Q^2, ..., Q^m are float64 matmuls, one per power, with the
@@ -345,14 +314,17 @@ def int_charpoly(g):
     symmetric residue of each c_k is the coefficient itself.  The two
     exactness invariants -- float partial sums and traces below 2^53 (as
     m * dmax * max(p) < 2^53, which makes the product after a reduction
-    exact), M above 2B -- are checked.  The factors (x - lam)^e are then
-    multiplied in exactly.  Newton's identities need no symmetry:
+    exact), M above 2B -- are checked.  The factor (x + 1)^(n - m) is
+    then multiplied in exactly.  Newton's identities need no symmetry:
     asymmetric and looped rows are taken as they are.
 
     Raises ValueError when Q has more than 32 classes, or, which needs
-    n > 32, when M or 2^53 is too small for these bounds.
+    n > 32, when M or 2^53 is too small for these bounds.  False twins
+    (equal open rows) and looped twins stay singletons, so a graph with
+    n > 32 whose twins are of those kinds, such as star(40) or K_(20,20),
+    has more than 32 classes and raises.
     """
-    q, sizes, powers = _twin_quotient(g)
+    q, sizes = _twin_quotient(g)
     m = len(sizes)
     if m > 32:
         raise ValueError(f"int_charpoly capped at 32 twin classes (got {m})")
@@ -394,8 +366,8 @@ def int_charpoly(g):
     # a list, not a generator: on CPython 3.11 a generator expression here
     # made a long benchmark process's peak RSS grow ~4 KB per 80 calls
     c = [x - modulus if 2 * x > modulus else x for x in reversed(c)]
-    for lam, e in powers.items():
-        c = _times_power(c, lam, e)
+    if m < g.n:
+        c = _times_power(c, g.n - m)
     return IntCharPoly(tuple(c))
 
 

@@ -329,31 +329,21 @@ class TestEndToEnd:
                     assert int_charpoly(extremal_graph(p)).coeffs == want, p
 
     def test_twin_quotient_is_the_two_clique_quotient(self):
-        # S, A and B are the twin classes: the twin quotient is
-        # two_clique_quotient in some class order, its charpoly is the cubic,
-        # and the n - 3 other roots are -1.  With |A| = |B| = 1 the two lone
-        # vertices share their open row S and form one false-twin class:
-        # Q = [[k - 1, 2], [k, 0]], and x det(xI - Q) is the cubic
+        # S, A and B are the twin classes, |A| = |B| = 1 included: the twin
+        # quotient is two_clique_quotient in some class order, its charpoly
+        # is the cubic, and the n - 3 other roots are -1
         for p in valid_triples(16):
-            q, sizes, powers = _twin_quotient(extremal_graph(p))
+            q, sizes = _twin_quotient(extremal_graph(p))
             k, a, b = p.block_sizes
             cubic = cubic_coefficients(p)
-            if a == b == 1:
-                want_sizes, want_q = (k, 2), [[k - 1, 2], [k, 0]]
-                tr, det = q.trace(), q[0, 0] * q[1, 1] - q[0, 1] * q[1, 0]
-                assert (-tr, det, 0) == (cubic.c2, cubic.c1, cubic.c0), p
-                assert powers == ({-1: k - 1, 0: 1} if k > 1 else {0: 1}), p
-            else:
-                want_sizes, want_q = (k, a, b), two_clique_quotient(k, a, b).matrix.tolist()
-                assert charpoly3_oracle(q) == (cubic.c2, cubic.c1, cubic.c0), p
-                assert powers == {-1: p.n - 3}, p
+            want_sizes, want_q = (k, a, b), two_clique_quotient(k, a, b).matrix.tolist()
+            assert charpoly3_oracle(q) == (cubic.c2, cubic.c1, cubic.c0), p
             assert any(tuple(sizes[i] for i in order) == want_sizes
                        and q[np.ix_(order, order)].tolist() == want_q
                        for order in itertools.permutations(range(len(sizes)))), p
 
     def test_every_clique_join_makes_two_power_matmuls(self, monkeypatch):
         # Q, Q^2 and Q^3 for the three classes: two products, whatever n
-        # (one when |A| = |B| = 1 leaves two classes)
         calls = []
         real = np.matmul
 
@@ -365,9 +355,7 @@ class TestEndToEnd:
         for p in valid_triples(16):
             calls.clear()
             int_charpoly(extremal_graph(p))
-            _, a, b = p.block_sizes
-            assert len(calls) == (1 if a == b == 1 else 2), p
-            assert set(calls) == {(len(calls) + 1,) * 2}, p
+            assert calls == [(3, 3), (3, 3)], p
 
     @pytest.mark.parametrize("n, k, d", [(64, 5, 20), (64, 62, 62), (100, 7, 40), (100, 1, 48)])
     def test_large_clique_joins_past_order_32(self, n, k, d):

@@ -501,10 +501,19 @@ class TestIntCharpoly:
         assert used and set(used) == {primes}
 
     def test_bits_above_the_order_are_not_entries(self, monkeypatch):
-        # bit 3 of a 3-vertex row lies past the matrix, as adjacency_matrix drops it
-        g = Graph(3, [8, 0, 0])
-        assert not g.adjacency_matrix().any()
-        assert int_charpoly(g).coeffs == (0, 0, 0, 1)
+        # bits 3, 7 and 9 lie past the matrix, and bit 9 past the rows' bytes
+        # too; each graph is twin-free, so int_charpoly reads adjacency_matrix,
+        # which drops them: edgeless rows stay edgeless and one edge is K_2
+        for g, want in [(Graph(3, [8, 0, 0]), (0, 0, 0, 1)),
+                        (Graph(3, [512, 0, 0]), (0, 0, 0, 1)),
+                        (Graph(2, [130, 1]), (-1, 0, 1)),
+                        (Graph(2, [514, 1]), (-1, 0, 1))]:
+            full = (1 << g.n) - 1
+            assert g.adjacency_matrix().tolist() == [[r >> j & 1 for j in range(g.n)]
+                                                     for r in g.rows]
+            assert _twin_free(g)
+            assert int_charpoly(g).coeffs == want
+            assert want == faddeev_leverrier_charpoly(Graph(g.n, [r & full for r in g.rows]))
         # counted, bits 21-23 of every row would make the bound ask for two
         # primes; a twin-free graph keeps its 21 classes when they are set
         s = random_graph(random.Random(21), 21, 0.1)
@@ -613,7 +622,11 @@ def _blow_up(base, sizes, kinds, loops, perm):
 
 @st.composite
 def planted_twins(draw):
-    """(graph, base order, symmetric?): a random base blown up into twin classes."""
+    """(graph, bound): a random base blown up into twin classes.
+
+    bound counts one class per loopless true-twin class planted and one
+    per vertex of every other class: the most twin classes g can have.
+    """
     b = draw(st.integers(1, 8), label="base order")
     base = draw(st.lists(st.integers(0, (1 << b) - 1), min_size=b, max_size=b), label="base")
     symmetric = draw(st.booleans(), label="symmetric")
@@ -624,7 +637,8 @@ def planted_twins(draw):
     kinds = draw(st.lists(st.booleans(), min_size=b, max_size=b), label="true twins")
     loops = draw(st.lists(st.booleans(), min_size=b, max_size=b), label="loops")
     perm = draw(st.permutations(range(sum(sizes))), label="labels")
-    return _blow_up(base, sizes, kinds, loops, perm), b, symmetric
+    bound = sum(1 if t and not loop else s for s, t, loop in zip(sizes, kinds, loops))
+    return _blow_up(base, sizes, kinds, loops, perm), bound
 
 
 @st.composite
@@ -651,11 +665,10 @@ class TestTwinQuotient:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(planted_twins())
     def test_planted_twins_against_reference(self, case):
-        g, b, symmetric = case
+        g, bound = case
         assert int_charpoly(g).coeffs == faddeev_leverrier_charpoly(g)
-        if symmetric:
-            # each planted class lies inside one twin class
-            assert len(spectral._twin_quotient(g)[1]) <= b
+        # each planted loopless true-twin class lies inside one twin class
+        assert len(spectral._twin_quotient(g)[1]) <= bound
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(rows_with_twins())
@@ -663,8 +676,8 @@ class TestTwinQuotient:
         assert int_charpoly(g).coeffs == faddeev_leverrier_charpoly(g)
 
     def test_blow_up_of_a_twin_free_graph_keeps_its_classes(self):
-        # a twin-free base's blown-up classes are exactly the twin classes;
-        # each true-twin class gives -1 and each false-twin class 0 its size - 1 times
+        # a twin-free base's blown-up true-twin classes are exactly the twin
+        # classes, and each vertex of a blown-up false-twin class is one
         rng = random.Random(23)
         checked = 0
         for _ in range(30):
@@ -677,21 +690,21 @@ class TestTwinQuotient:
             perm = list(range(sum(sizes)))
             rng.shuffle(perm)
             g = _blow_up(h.rows, sizes, kinds, [False] * h.n, perm)
-            q, got, powers = spectral._twin_quotient(g)
-            assert sorted(got) == sorted(sizes)
-            want = {-1: sum(s - 1 for s, t in zip(sizes, kinds) if t),
-                    0: sum(s - 1 for s, t in zip(sizes, kinds) if not t)}
-            assert powers == {lam: e for lam, e in want.items() if e}
+            _, got = spectral._twin_quotient(g)
+            want = [s for s, t in zip(sizes, kinds) if t]
+            want += [1] * sum(s for s, t in zip(sizes, kinds) if not t)
+            assert sorted(got) == sorted(want)
             assert int_charpoly(g).coeffs == faddeev_leverrier_charpoly(g)
         assert checked >= 10
 
     def test_twin_rich_graphs_against_reference(self):
-        # K_n, J and stars reduce to one or two classes; the identity
-        # matrix is one looped false-twin class, det(xI - I) = (x - 1)^5
+        # K_n reduces to one class; a star's leaves (false twins) and the
+        # looped rows of J and the identity matrix stay singletons,
+        # and det(xI - I) = (x - 1)^5
         full = (1 << 32) - 1
-        cases = [(star(20), 2), (complete(20), 1), (complete(32), 1),
-                 (Graph(32, (full,) * 32), 1), (from_edges(5, []), 1),
-                 (Graph(5, [1 << i for i in range(5)]), 1)]
+        cases = [(star(20), 21), (complete(20), 1), (complete(32), 1),
+                 (Graph(32, (full,) * 32), 32), (from_edges(5, []), 5),
+                 (Graph(5, [1 << i for i in range(5)]), 5)]
         for g, m in cases:
             assert len(spectral._twin_quotient(g)[1]) == m
             assert int_charpoly(g).coeffs == faddeev_leverrier_charpoly(g)
@@ -699,18 +712,41 @@ class TestTwinQuotient:
         # bits 21-23 set in every row of star(20) leave its classes and charpoly
         s = star(20)
         padded = Graph(21, [r | 7 << 21 for r in s.rows])
-        assert len(spectral._twin_quotient(padded)[1]) == 2
+        assert len(spectral._twin_quotient(padded)[1]) == 21
         assert int_charpoly(padded).coeffs == int_charpoly(s).coeffs
 
     def test_times_power_against_repeated_products(self):
         rng = random.Random(24)
-        for lam in (-1, 0, 1):
-            for e in range(7):
+        for _ in range(3):
+            for e in range(13):
                 c = [rng.randint(-50, 50) for _ in range(rng.randint(1, 5))]
                 want = list(c)
                 for _ in range(e):
-                    want = list(_poly_mul(want, (-lam, 1)))
-                assert spectral._times_power(c, lam, e) == want, (c, lam, e)
+                    want = list(_poly_mul(want, (1, 1)))
+                assert spectral._times_power(c, e) == want, (c, e)
+
+    def test_looped_and_false_twins_stay_singletons(self):
+        # equal looped rows (J_2) and equal open rows (two isolated vertices)
+        # are twins of the kinds not grouped: two classes each
+        for g, want in [(Graph(2, [3, 3]), (0, -2, 1)), (Graph(2, [0, 0]), (0, 0, 1))]:
+            assert spectral._twin_quotient(g)[1] == [1, 1]
+            assert int_charpoly(g).coeffs == want == faddeev_leverrier_charpoly(g)
+        # so star(40), 39 false-twin leaves, has 40 classes
+        with pytest.raises(ValueError, match="capped at 32 twin classes"):
+            int_charpoly(star(40))
+
+    def test_reduction_reads_the_class_sizes(self, monkeypatch):
+        # Q's entries reach the class size 6, so the first reduction must come
+        # from a bound that starts at 7: a dense 11-vertex base (with twins of
+        # its own, m = 9) blown up into classes of 6 true twins, n = 66
+        h = random_graph(random.Random(35), 11, 0.92)
+        perm = list(range(66))
+        random.Random(35).shuffle(perm)
+        g = _blow_up(h.rows, [6] * 11, [True] * 11, [False] * 11, perm)
+        assert len(spectral._twin_quotient(g)[1]) == 9
+        coeffs, reductions = _charpoly_and_reductions(monkeypatch, g)
+        assert reductions > 0
+        assert coeffs == faddeev_leverrier_charpoly(g)
 
     def test_coefficient_bound_past_the_modulus_raises(self):
         # 32 classes of 3 true twins over a dense twin-free graph: n = 96 and
