@@ -13,13 +13,15 @@ or the root lo/2^e itself when lo == hi; f is p or its square-free part.
   :func:`shift_variations` counts the sign variations V(r) of p(r + t);
   by Descartes' rule of signs V(r) bounds the number of roots above r
   and has the same parity.  So p(m) = 0 and V(m) = 0 prove the integer
-  m nearest the seed the largest root, exactly; else, for the first
-  brackets of widening reach around the seed on the 2^-SEED_BITS grid,
-  V(hi) = 0 and V(lo) = 1 prove that p has exactly one root above lo,
-  that it is simple, and that it lies in (lo, hi].  For a real-rooted
-  p (the characteristic polynomial of a symmetric matrix) V(r) is
-  exactly the number of roots above r, so a tight bracket around a
-  good seed of a simple root always certifies.
+  m nearest the seed the largest root, exactly.  Else rungs of widening
+  reach around the seed on the 2^-SEED_BITS grid give, by one Horner
+  evaluation each, hi with p(hi) lead >= 0 and lo with p(lo) lead < 0,
+  and one count V(lo) = 1 proves that p has exactly one root above lo,
+  that it is simple, and, as p lead < 0 just above lo and >= 0 at hi,
+  that it lies in (lo, hi].  For a real-rooted p (the characteristic
+  polynomial of a symmetric matrix) V(r) is exactly the number of roots
+  above r, so a tight bracket around a good seed of a simple root
+  always certifies.
 * Sturm fallback.  Without a seed, or when no bracket certifies, the
   square-free part's Sturm chain counts roots while the Cauchy interval
   (-B, B] is bisected, until one root is left in the bracket.
@@ -57,12 +59,17 @@ __all__ = [
 
 # Seeded brackets have endpoints on the grid of multiples of 2^-SEED_BITS;
 # SEED_REACH lists the half-widths, in grid steps, tried in turn.  One
-# step (about 9e-13) does not always cover eigvalsh's error for n <= 32:
-# of 180 random connected graphs on 24-32 vertices, two had an eigvalsh
-# seed that certified only at four steps, and one step alone would have
-# sent them to a Sturm chain of degree 24 or 32.
-SEED_BITS = 40
-SEED_REACH = (1, 4, 64, 1 << 12, 1 << 20)
+# step of the old 2^-40 grid (about 9e-13) did not always cover
+# eigvalsh's error for n <= 32: of 180 random connected graphs on 24-32
+# vertices, two had an eigvalsh seed that certified only at four steps.
+# So the rungs after the first keep the old reaches, 1, 4, 64, 2^12 and
+# 2^20 steps of 2^-40: 8 steps of 2^-43 are one step of 2^-40, so an
+# eigvalsh seed that certified on the old first rung certifies by the
+# second.  The first rung, one step of 2^-43, gives a seed within a step
+# of the root a bracket 2^-42 wide, which largest_real_root reads off
+# with no halving; a missed rung costs one Horner evaluation.
+SEED_BITS = 43
+SEED_REACH = (1, 8, 32, 512, 1 << 15, 1 << 23)
 # Newton's iteration for a seed stops after at most NEWTON_STEPS steps.
 NEWTON_STEPS = 200
 
@@ -107,12 +114,14 @@ def _value(p, num, den):
 def _shift_variations(p, num, den):
     """V(num/den) for a normalized p: the Taylor shift by num of
     den^d p(x / den), whose coefficients are those of p(num/den + t)
-    scaled by positive factors, built by Horner in x = num + t."""
-    q, dpow = [], 1
-    for c in reversed(p):
-        q = [num * x + y for x, y in zip(q + [0], [0] + q)]
-        q[0] += c * dpow
+    scaled by positive factors, by synthetic division in one list."""
+    q, dpow = list(p), 1
+    for i in range(len(q) - 2, -1, -1):
         dpow *= den
+        q[i] *= dpow
+    for i in range(len(q) - 1):
+        for j in range(len(q) - 2, i - 1, -1):
+            q[j] += num * q[j + 1]
     return _variations(q)
 
 
@@ -273,30 +282,30 @@ def _seeded_bracket(p, seed):
 
     With m = round(seed), p(m) = 0 and V(m) = 0 prove m the largest root:
     the zero-width bracket (m, m, 0, p).  Otherwise, with base the grid
-    point at or below the seed, hi is the first base + h (h in
-    SEED_REACH) with V(hi) = 0, so no root lies above it, and lo the
-    first base - h with V(lo) = 1, so exactly one simple root lies above
-    lo: the bracket (lo, hi, SEED_BITS, p).  V(lo) > 1 means more than
-    one root sits above lo, which widening cannot cure.
+    point at or below the seed and lead p's leading coefficient, hi is
+    the first base + h (h in SEED_REACH) with p(hi) lead >= 0 and lo the
+    first base - h with p(lo) lead < 0, each found by Horner.  Then one
+    count, V(lo) = 1, proves exactly one simple root above lo; p lead is
+    negative just above lo and not negative at hi > lo, so that root is
+    in (lo, hi]: the bracket (lo, hi, SEED_BITS, p).  V(lo) > 1 means
+    more than one root sits above lo, which widening cannot cure.
     """
+    if not p:
+        return None
     scale = 1 << SEED_BITS
     try:
         base = math.floor(float(seed) * scale)
     except (OverflowError, ValueError):  # a seed beyond float range, inf or NaN
         return None
     m = round(float(seed))
-    if p and _value(p, m, 1) == 0 and _shift_variations(p, m, 1) == 0:
+    if _value(p, m, 1) == 0 and _shift_variations(p, m, 1) == 0:
         return m, m, 0, p
-    hi = next((base + h for h in SEED_REACH if _shift_variations(p, base + h, scale) == 0), None)
-    if hi is None:
+    lead = p[-1]
+    hi = next((base + h for h in SEED_REACH if _value(p, base + h, scale) * lead >= 0), None)
+    lo = next((base - h for h in SEED_REACH if _value(p, base - h, scale) * lead < 0), None)
+    if hi is None or lo is None or _shift_variations(p, lo, scale) != 1:
         return None
-    for h in SEED_REACH:
-        v = _shift_variations(p, base - h, scale)
-        if v == 1:
-            return base - h, hi, SEED_BITS, p
-        if v > 1:
-            return None
-    return None
+    return lo, hi, SEED_BITS, p
 
 
 def _sturm_bracket(p):
@@ -392,11 +401,12 @@ def largest_real_root(p):
     The seed comes from Newton's iteration from above
     (:func:`_newton_seed`); a coefficient too large for a float leaves
     Sturm with no seed.  The seed's bracket (see
-    :func:`isolate_largest_root`; an integer root is exact) is bisected
-    to width at most 2^-42, below 1e-12 / 4, on the dyadic grid, and its
-    midpoint, correctly rounded, is returned.  Raises OverflowError when
-    that root is beyond float range, and ValueError when p has no real
-    root.
+    :func:`isolate_largest_root`; an integer root is exact) is at most
+    2^-42 wide, below 1e-12 / 4: a seed certified on the first rungs
+    of the 2^-43 grid needs no halving, and any wider bracket is bisected
+    down to that width.  Its midpoint, correctly rounded, is returned.
+    Raises OverflowError when that root is beyond float range, and
+    ValueError when p has no real root.
     """
     p = normalize(p)
     lo, hi, e, _ = _refine(_isolate(p, _newton_seed(p)), 42)

@@ -37,7 +37,8 @@ class Graph:
     ``rows[i]`` is the neighbour bitmask of vertex i.  ``Graph(n, rows)``
     stores the rows as a tuple and checks only their count: exact-algebra
     tests pass asymmetric and looped 0/1 rows through it on purpose.
-    Bits at or above n are not entries: :meth:`adjacency_matrix` and
+    Bits at or above n are not entries: :meth:`degrees`,
+    :attr:`edge_count`, :meth:`edges`, :meth:`adjacency_matrix` and
     :func:`specrad.spectral.int_charpoly` read only the n low bits, and
     :meth:`validate` rejects a row that has one.
     The module constructors (:func:`from_edges` and the families) and
@@ -58,19 +59,22 @@ class Graph:
 
     def degrees(self):
         """Degree of every vertex, in vertex order."""
+        full = (1 << self.n) - 1  # bits at or above n are not entries
         # a list, not a generator (as in edge_count and min_degree): on CPython
         # 3.11 a generator expression here made a long benchmark process's peak
         # RSS grow ~5 KB per ties pass
-        return tuple([r.bit_count() for r in self.rows])
+        return tuple([(r & full).bit_count() for r in self.rows])
 
     @property
     def edge_count(self):
-        return sum([r.bit_count() for r in self.rows]) // 2
+        full = (1 << self.n) - 1
+        return sum([(r & full).bit_count() for r in self.rows]) // 2
 
     def edges(self):
         """Edges as (i, j) pairs with i < j, lexicographic."""
+        full = (1 << self.n) - 1
         for i in range(self.n):
-            m = self.rows[i] >> (i + 1) << (i + 1)
+            m = (self.rows[i] & full) >> (i + 1) << (i + 1)
             while m:
                 b = m & -m
                 yield (i, b.bit_length() - 1)
@@ -211,10 +215,14 @@ def extremal_graph(p):
     A, the last n-delta-1 form clique B.  The positional layout is part
     of the contract: the canonical three-block partition is derived from
     it.  Degrees: S-vertices n-1, A-vertices delta, B-vertices
-    n-delta-2+k.
+    n-delta-2+k.  Each row is its block's mask minus the vertex itself:
+    all of S u A u B for S, S u A for A, S u B for B.
     """
     k, a, b = p.validate().block_sizes
-    return join(complete(k), disjoint_union(complete(a), complete(b)))
+    n = k + a + b
+    s, sa, full = (1 << k) - 1, (1 << (k + a)) - 1, (1 << n) - 1
+    masks = [full] * k + [sa] * a + [full ^ sa ^ s] * b
+    return Graph(n, [m ^ (1 << i) for i, m in enumerate(masks)])
 
 
 # -- standard queries --------------------------------------------------

@@ -196,8 +196,8 @@ def largest_cubic_root(c: CubicCoeffs):
 
     The generic certified root of :func:`exactroots.largest_real_root`:
     an integer root is proved largest exactly, otherwise a float seed's
-    bracket is certified by Descartes' rule of signs (Sturm bisection
-    only if that fails) and refined by exact sign bisection to 2^-42.
+    bracket is certified by one Descartes count (Sturm bisection only if
+    that fails) and, if wider than 2^-42, refined by exact sign bisection.
     """
     return exactroots.largest_real_root(c.as_poly())
 

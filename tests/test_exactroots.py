@@ -8,6 +8,7 @@ comparisons, and the self-seeded largest_real_root, must agree with the
 unseeded Sturm path, and wrong seeds must reach it.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -33,7 +34,7 @@ from specrad.exactroots import (
     square_free_part,
     sturm_chain,
 )
-from specrad.graphs import complete
+from specrad.graphs import complete, is_connected
 from specrad.spectral import int_charpoly
 from test_spectral import _poly_mul
 
@@ -139,7 +140,7 @@ def test_seeded_isolation_certifies_without_sturm(sturm_calls):
 
 
 def test_seed_off_by_several_steps_certifies(sturm_calls):
-    # seeds 3 and 2^19 steps of the 2^-40 grid away from sqrt(2) and sqrt(3):
+    # seeds 24 and 2^22 steps of the 2^-43 grid away from sqrt(2) and sqrt(3):
     # the bracket widens past one step and still certifies, with no Sturm chain
     r2, r3 = 2**0.5, 3**0.5
     for seed in (r2 + 3 * 2.0**-40, r2 - 3 * 2.0**-40, r2 + 2.0**-21, r2 - 2.0**-21):
@@ -148,6 +149,166 @@ def test_seed_off_by_several_steps_certifies(sturm_calls):
     assert compare_largest_roots((-2, 0, 1), (-3, 0, 1),
                                  seeds=(r2 + 3 * 2.0**-40, r3 - 2.0**-21)) == -1
     assert not sturm_calls
+
+
+class _ShiftSpy:
+    """Wraps exactroots._shift_variations for a with-block and records the
+    grid denominator of each count: 1 for the integer probe, 2^SEED_BITS
+    for the seeded certificate."""
+
+    def __enter__(self):
+        self.dens, self.real = [], exactroots._shift_variations
+
+        def spy(p, num, den):
+            self.dens.append(den)
+            return self.real(p, num, den)
+
+        exactroots._shift_variations = spy
+        return self
+
+    def __exit__(self, *exc):
+        exactroots._shift_variations = self.real
+
+    @property
+    def grid_counts(self):
+        return sum(den == 1 << exactroots.SEED_BITS for den in self.dens)
+
+
+@pytest.mark.parametrize("steps", [8, 32, 512])
+def test_seed_off_by_a_rung_certifies_with_one_count(sturm_calls, steps):
+    # a seed `steps` grid steps above or below sqrt(2) misses every rung
+    # before `steps`: Horner finds hi and lo, and one count V(lo) = 1 proves
+    # the bracket.  The rung `steps` away lands just short of the root on
+    # one side, so that side takes the next rung
+    r2, step = 2**0.5, 2.0**-exactroots.SEED_BITS
+    reach = exactroots.SEED_REACH
+    for seed in (r2 + steps * step, r2 - steps * step):
+        with _ShiftSpy() as spy:
+            lo, hi, e, f = exactroots._isolate((-2, 0, 1), seed)
+        assert spy.dens == [1 << exactroots.SEED_BITS] and f == (-2, 0, 1)
+        assert e == exactroots.SEED_BITS and 0 < hi - lo <= 1 + reach[reach.index(steps) + 1]
+        assert lo * lo < 2 << 2 * e < hi * hi
+    assert not sturm_calls
+
+
+def test_one_count_first_rungs_and_no_halving(sturm_calls, monkeypatch):
+    # a seed within one step: the first rungs give a bracket 2^-42 wide,
+    # which largest_real_root reads off with no halving
+    monkeypatch.setattr(exactroots, "_halve", None)
+    r2 = 2**0.5
+    with _ShiftSpy() as spy:
+        lo, hi, e, _ = exactroots._isolate((-2, 0, 1), r2)
+        assert largest_real_root((-2, 0, 1)) == pytest.approx(r2, abs=2.0**-43)
+    assert (hi - lo, e) == (2, exactroots.SEED_BITS)
+    assert spy.grid_counts == 2 and len(spy.dens) == 2
+    assert not sturm_calls
+
+
+def test_negated_polynomial_same_root(sturm_calls):
+    # -p has p's roots: the rung signs read p(x) * lead, whatever lead's sign
+    for p in ((-2, 0, 1), (1, -3, -1, 1), (684, 286, -36, 1), (-6, 11, -6, 1), (4, 0, -3, 1)):
+        neg = tuple(-c for c in p)
+        seed = max(z.real for z in np.roots(p[::-1]) if abs(z.imag) < 1e-9)
+        assert largest_real_root(neg) == largest_real_root(p)
+        assert isolate_largest_root(neg, seed)[:3] == isolate_largest_root(p, seed)[:3]
+        assert compare_largest_roots(p, neg, seeds=(seed, seed)) == 0
+    assert not sturm_calls
+
+
+def test_cluster_above_lo_goes_to_sturm(sturm_calls):
+    # roots 3/2, 3/2 + 2^-51 and 3/2 + 2^-50, all inside the first rung:
+    # p(lo) lead < 0 picks lo, but V(lo) = 3 > 1, so the seed gives no
+    # bracket and Sturm isolates the top root 3/2 + 2^-50, a grid point
+    # that its bisection reaches exactly
+    p = _poly_mul(_poly_mul((-3, 2), (-(3 << 50) - 1, 1 << 51)), (-(3 << 50) - 2, 1 << 51))
+    top = Fraction(3, 2) + Fraction(1, 1 << 50)
+    with _ShiftSpy() as spy:
+        assert exactroots._seeded_bracket(p, 1.5) is None
+    assert spy.grid_counts == 1
+    assert shift_variations(p, Fraction(3, 2) - Fraction(1, 1 << 43)) == 3
+    assert isolate_largest_root(p, seed=1.5) == ("exact", top)
+    assert sturm_calls
+    assert largest_real_root(p) == pytest.approx(float(top), abs=2.0**-43)
+
+
+def test_seeded_empty_and_constant_raise(sturm_calls):
+    # no rung certifies a polynomial with no root, and () has no lead
+    for p in ((), (0,), (5,), (-3,)):
+        with pytest.raises(ValueError):
+            isolate_largest_root(p, seed=1.0)
+        with pytest.raises(ValueError):
+            largest_real_root(p)
+        with pytest.raises(ValueError):
+            compare_largest_roots(p, (-2, 0, 1), seeds=(1.0, 1.4))
+
+
+def _fraction_variations(p, r):
+    """V(r) from the coefficients of p(r + t) expanded in Fractions."""
+    coeffs = [Fraction(0)] * len(p)
+    for i, c in enumerate(p):
+        for j in range(i + 1):
+            coeffs[j] += c * math.comb(i, j) * Fraction(r) ** (i - j)
+    signs = [c > 0 for c in coeffs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-50, 50), max_size=8), st.integers(-200, 200),
+       st.integers(0, 12), st.integers(1, 9))
+def test_in_place_shift_matches_fraction_expansion(p, num, bits, odd):
+    # dyadic grid points and other denominators; trailing zeros normalized
+    p = normalize(p)
+    den = odd << bits
+    assert exactroots._shift_variations(p, num, den) == _fraction_variations(p, Fraction(num, den))
+    assert shift_variations(p, Fraction(num, den)) == _fraction_variations(p, Fraction(num, den))
+
+
+def _grid_midpoint(br):
+    lo, hi, e, _ = br
+    return Fraction(lo + hi, 2 << e)
+
+
+def _assert_one_count_agrees_with_sturm(p, seed):
+    """The seeded bracket, when the seed certifies, costs one count on the
+    grid (the integer probe counts only where p(round(seed)) = 0) and lands
+    within 2^-42 of the Sturm route."""
+    p = normalize(p)
+    with _ShiftSpy() as spy:
+        seeded = exactroots._seeded_bracket(p, seed)
+    if seeded is not None:
+        probe = exactroots._value(p, round(seed), 1) == 0
+        assert spy.grid_counts == (seeded[0] < seeded[1])
+        assert len(spy.dens) == spy.grid_counts + probe
+        seeded = exactroots._refine(exactroots._isolate(p, seed), 42)
+        sturm = exactroots._refine(exactroots._isolate(p, None), 42)
+        assert abs(_grid_midpoint(seeded) - _grid_midpoint(sturm)) <= Fraction(1, 1 << 42)
+    return seeded is not None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(1, 4), st.integers(-12, 12)), min_size=1, max_size=6))
+def test_linear_products_one_count_agrees_with_sturm(factors):
+    p = (1,)
+    for a, b in factors:
+        p = _poly_mul(p, (-b, a))
+    seed = exactroots._newton_seed(normalize(p))
+    top = max(Fraction(b, a) for a, b in factors)
+    certified = _assert_one_count_agrees_with_sturm(p, seed)
+    # a simple top root always certifies from Newton's seed
+    if sum(Fraction(b, a) == top for a, b in factors) == 1:
+        assert certified
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(2, 14), st.integers(0, 2**32 - 1), st.sampled_from([0.3, 0.5, 0.8]))
+def test_charpoly_one_count_agrees_with_sturm(n, seed, density):
+    g = random_graph(random.Random(seed), n, density)
+    p = int_charpoly(g).coeffs
+    rho = float(np.linalg.eigvalsh(g.adjacency_matrix())[-1])
+    for s in (rho, exactroots._newton_seed(normalize(p))):
+        certified = _assert_one_count_agrees_with_sturm(p, s)
+        # a connected graph's radius is a simple root: both seeds certify
+        assert certified or not is_connected(g)
 
 
 @pytest.mark.parametrize("seed", [3.170086486626034, 0.311107817465982, -7.5,

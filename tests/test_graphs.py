@@ -212,6 +212,20 @@ class TestExtremalGraph:
         assert ExtremalParams(7, 2, 3).realizes_min_degree
         assert not ExtremalParams(7, 1, 4).realizes_min_degree  # B-degree 2 < 4
 
+    def test_matches_join_of_cliques(self):
+        # the rows come straight from the block masks; the reference builds
+        # K_k + (K_a u K_b) from the family constructors
+        count = 0
+        for n in range(3, 40):
+            for k in range(1, n - 1):
+                for d in range(k, n - 1):
+                    p = ExtremalParams(n, k, d)
+                    _, a, b = p.block_sizes
+                    assert extremal_graph(p) == join(complete(k),
+                                                     disjoint_union(complete(a), complete(b))), p
+                    count += 1
+        assert count == 9139
+
 
 class TestShiuGraph:
     def test_matches_extremal_at_delta_k(self):
@@ -268,6 +282,14 @@ class TestQueries:
     def test_edges_iterator(self):
         g = from_edges(5, [(0, 3), (1, 2), (3, 4)])
         assert sorted(g.edges()) == [(0, 3), (1, 2), (3, 4)]
+
+    def test_queries_ignore_bits_at_or_above_n(self):
+        # row 0 = 514 = 0b1000000010: the edge 01 and a stray bit 9
+        g = Graph(2, [514, 1])
+        assert g.degrees() == (1, 1)
+        assert g.edge_count == 1
+        assert list(g.edges()) == [(0, 1)]
+        assert g.adjacency_matrix().tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
     def test_validate_catches_asymmetry(self):
         bad = Graph(3, (0b010, 0b000, 0b000))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import path, random_graph
+from specrad import exactroots
 from specrad.exactroots import compare_largest_roots
 from specrad.graphs import ExtremalParams, complete, extremal_graph
 from specrad.quotient import (
@@ -281,10 +282,16 @@ class TestLargestCubicRoot:
         got = largest_cubic_root(CubicCoeffs(0, 1, 1))
         assert got**3 + got + 1 == pytest.approx(0.0, abs=1e-10)
 
-    def test_extremal_cubics_skip_sturm(self, sturm_calls, no_fraction, no_np_roots):
+    def test_extremal_cubics_skip_sturm(self, sturm_calls, no_fraction, no_np_roots,
+                                        monkeypatch):
         # every valid triple with n < 40: seeded by Newton's iteration,
         # certified without the fallback or a Fraction, and equal to the
-        # top eigenvalue of the symmetrized quotient
+        # top eigenvalue of the symmetrized quotient.  The first rungs
+        # certify all but one: Newton's float iterates on x^3 - 36x^2 +
+        # 286x + 684 (n, k, delta = 39, 1, 19) stop about two 2^-43 steps
+        # short of the root, so that bracket is 9 steps wide and halved
+        halved, real = [], exactroots._halve
+        monkeypatch.setattr(exactroots, "_halve", lambda br: halved.append(p) or real(br))
         count = 0
         for n in range(4, 40):
             for k in range(1, n - 1):
@@ -296,6 +303,7 @@ class TestLargestCubicRoot:
                     count += 1
         assert count == 9138
         assert not sturm_calls
+        assert set(halved) == {ExtremalParams(39, 1, 19)}
 
     def test_random_vs_numpy(self):
         rng = random.Random(33)
