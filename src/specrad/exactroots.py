@@ -287,7 +287,8 @@ def _seeded_bracket(p, seed):
     first base - h with p(lo) lead < 0, each found by Horner.  Then one
     count, V(lo) = 1, proves exactly one simple root above lo; p lead is
     negative just above lo and not negative at hi > lo, so that root is
-    in (lo, hi]: the bracket (lo, hi, SEED_BITS, p).  V(lo) > 1 means
+    in (lo, hi]: the bracket (lo, hi, SEED_BITS, p), or (hi, hi,
+    SEED_BITS, p) when the rung search found p(hi) = 0.  V(lo) > 1 means
     more than one root sits above lo, which widening cannot cure.
     """
     if not p:
@@ -301,11 +302,17 @@ def _seeded_bracket(p, seed):
     if _value(p, m, 1) == 0 and _shift_variations(p, m, 1) == 0:
         return m, m, 0, p
     lead = p[-1]
-    hi = next((base + h for h in SEED_REACH if _value(p, base + h, scale) * lead >= 0), None)
-    lo = next((base - h for h in SEED_REACH if _value(p, base - h, scale) * lead < 0), None)
-    if hi is None or lo is None or _shift_variations(p, lo, scale) != 1:
+    for h in SEED_REACH:
+        top = _value(p, base + h, scale) * lead
+        if top >= 0:
+            hi = base + h
+            break
+    else:
         return None
-    return lo, hi, SEED_BITS, p
+    lo = next((base - h for h in SEED_REACH if _value(p, base - h, scale) * lead < 0), None)
+    if lo is None or _shift_variations(p, lo, scale) != 1:
+        return None
+    return (hi if top == 0 else lo), hi, SEED_BITS, p
 
 
 def _sturm_bracket(p):
@@ -336,9 +343,13 @@ def _sturm_bracket(p):
 
 def _isolate(p, seed):
     """Bracket of the largest real root of a normalized p: seeded if the
-    seed certifies, else from Sturm; zero-width when hi is the root."""
+    seed certifies, else from Sturm; zero-width when hi is the root (the
+    seeded bracket knows p(hi) from its rung search, a Sturm bracket is
+    tested here)."""
     bracket = None if seed is None else _seeded_bracket(p, seed)
-    lo, hi, e, f = bracket or _sturm_bracket(p)
+    if bracket:
+        return bracket
+    lo, hi, e, f = _sturm_bracket(p)
     if _value(f, hi, 1 << e) == 0:
         return hi, hi, e, f
     return lo, hi, e, f

@@ -10,14 +10,13 @@ the clique-join family to the largest root of a cubic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import exactroots
 from .graphs import ExtremalParams
-from .spectral import _top_pair
+from .spectral import _quotient_top_pair
 
 __all__ = [
     "Partition",
@@ -202,26 +201,18 @@ def largest_cubic_root(c: CubicCoeffs):
     return exactroots.largest_real_root(c.as_poly())
 
 
-def _symmetrized(qm: QuotientMatrix):
-    """(D^{1/2} Q D^{-1/2}, sqrt of the block sizes) for D = diag(n_i)."""
-    d = [math.sqrt(n) for n in qm.sizes]
-    # entry ij is C_ij / (sqrt(n_i) sqrt(n_j)) for the symmetric C = DQ: exactly symmetric
-    sym = [[c / (di * dj) for c, dj in zip(row, d)] for di, row in zip(d, qm._degree_sums())]
-    return np.array(sym), np.array(d)
-
-
 def quotient_perron(qm: QuotientMatrix):
     """Dominant eigenpair (rho, x) of a nonnegative irreducible quotient.
 
     The top eigenpair (u positive, unit norm) of the symmetric
-    S = D^{1/2} Q D^{-1/2} gives x = D^{-1/2} u with Q x = rho x.  The
-    vertex vector lifted from x has unit norm (sum n_i x_i^2 = ||u||^2),
-    and its residual on an equitable partition is
-    (S u - rho u)_i / sqrt(n_i), no larger than that of u.
+    S = D^{1/2} Q D^{-1/2}, built from the symmetric C = DQ of
+    :meth:`QuotientMatrix._degree_sums`, gives x = D^{-1/2} u with
+    Q x = rho x (``spectral._quotient_top_pair``).  The vertex vector
+    lifted from x has unit norm (sum n_i x_i^2 = ||u||^2), and its
+    residual on an equitable partition is (S u - rho u)_i / sqrt(n_i), no
+    larger than that of u.
     """
-    sym, d = _symmetrized(qm)
-    rho, u = _top_pair(sym)
-    return rho, u / d
+    return _quotient_top_pair(qm._degree_sums(), qm.sizes)
 
 
 def lift_block_vector(p: Partition, x):

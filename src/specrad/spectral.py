@@ -23,9 +23,13 @@
   eigenvalues only seed the brackets that :mod:`specrad.exactroots`
   certifies with Descartes' rule of signs.  Before any characteristic
   polynomial, :func:`exact_compare_rho` screens graphs whose degree
-  sequences differ: each float Perron vector, rounded to positive
-  integers, gives an exact Collatz-Wielandt enclosure of the radius, and
-  disjoint enclosures settle the order.
+  sequences differ on the same twin quotient: Q has the graph's radius,
+  its float Perron vector comes from eigh on the symmetrized quotient
+  D^(-1/2) (DQ) D^(-1/2) (D the class sizes), and that vector, rounded
+  to positive integers, gives an exact Collatz-Wielandt enclosure of the
+  radius; disjoint enclosures settle the order.  The clique join's
+  screen solves a 3 x 3 matrix, and a one-edge move of it a 6 x 6 or
+  7 x 7 one.
 """
 
 from __future__ import annotations
@@ -116,6 +120,23 @@ def _top_pair(a):
     w, v = np.linalg.eigh(a)
     u = v[:, -1]
     return float(w[-1]), (-u if u.sum() < 0 else u)
+
+
+def _quotient_top_pair(c, sizes):
+    """Top eigenpair (rho, x) of the quotient Q = D^-1 C, D = diag(sizes).
+
+    C = DQ (C_ij = n_i q_ij) is a symmetric integer matrix, so
+    S = D^{-1/2} C D^{-1/2}, entry C_ij / (sqrt(n_i) sqrt(n_j)), is exactly
+    symmetric; it is D^{1/2} Q D^{-1/2}, so its top pair (rho, u) gives
+    x = D^{-1/2} u with Q x = rho x.  When every size is 1, C is Q and
+    goes to :func:`_top_pair` as it is.
+    """
+    c = np.asarray(c, dtype=float)
+    if max(sizes) == 1:
+        return _top_pair(c)
+    d = np.sqrt(np.array(sizes, dtype=float))
+    rho, u = _top_pair(c / np.outer(d, d))
+    return rho, u / d
 
 
 def perron(g):
@@ -376,24 +397,26 @@ def _below(r, s):
     return r[0] * s[1] < s[0] * r[1]
 
 
-def _enclosure(a, vec):
-    """Collatz-Wielandt enclosure of rho(a), or None when vec rounds below 1 somewhere.
+def _enclosure(q, vec):
+    """Collatz-Wielandt enclosure of rho(q), or None when vec rounds below 1 somewhere.
 
     x = rint(vec * 2^52) must have every entry >= 1.  For a nonnegative
-    matrix and a positive x, min (Ax)_i / x_i <= rho <= max (Ax)_i / x_i
+    matrix and a positive x, min (qx)_i / x_i <= rho <= max (qx)_i / x_i
     (Collatz 1942, Wielandt 1950), with no symmetry or irreducibility
-    needed.  Returns ((lo_num, lo_den), (hi_num, hi_den)), both exact,
-    picked by integer cross-multiplication (:func:`_below`).
+    needed.  :func:`exact_compare_rho` passes a twin quotient Q, whose
+    radius is the graph's.  Returns ((lo_num, lo_den), (hi_num, hi_den)),
+    both exact, picked by integer cross-multiplication (:func:`_below`).
     """
     x = np.rint(vec * 2.0**52)
     if not x.min() >= 1:  # NaN fails too
         return None
-    # |vec_i| <= 1 up to rounding, so x_i <= 2^53; a 0/1 row has at most
-    # 32 ones, so every (Ax)_i < 2^58 and int64 holds Ax exactly
-    assert a.shape[0] <= 32 and x.max() <= 2**53, "Ax must fit int64"
+    # |vec_i| <= 1 up to rounding, so x_i <= 2^53; a row of a twin quotient
+    # sums to the ones in one row of A, at most n <= 32 (exact_compare_rho
+    # checks n), so every (Qx)_i <= 2^58 and int64 holds Qx exactly
+    assert x.max() <= 2**53, "Qx must fit int64"
     xi = x.astype(np.int64)
-    ax = (a.astype(np.int64) @ xi).tolist()
-    ratios = list(zip(ax, xi.tolist()))
+    qx = (q.astype(np.int64) @ xi).tolist()
+    ratios = list(zip(qx, xi.tolist()))
     lo = hi = ratios[0]
     for r in ratios:
         if _below(r, lo):
@@ -406,17 +429,21 @@ def _enclosure(a, vec):
 def exact_compare_rho(g, h):
     """Exact ordering of the spectral radii of two connected graphs.
 
-    Graphs whose sorted degree sequences differ are screened first: the
-    top eigh pair of each adjacency matrix gives an exact Collatz-Wielandt
-    enclosure of its radius (see :func:`_enclosure`), and disjoint
-    enclosures decide LESS or GREATER with no characteristic polynomial.
-    Equal degree sequences (likely relabelings, which no enclosure can
-    separate) skip the screen; this only orders the work.  Otherwise
-    identical characteristic polynomials give EQUAL_POLY, and else the
-    top eigh eigenvalue of each matrix -- the screen's, when it ran --
-    seeds a bracket that is certified exactly (see
-    :func:`exactroots.compare_largest_roots`).  Every verdict rests on
-    integer arithmetic only -- never on float proximity.
+    Graphs whose sorted degree sequences differ are screened first, each
+    on its twin quotient Q (:func:`_twin_quotient`; Q = A for a twin-free
+    graph).  A connected graph's Perron vector is constant on each twin
+    class (swapping two twins is an automorphism), so it restricts to a
+    positive eigenvector of Q and rho(Q) = rho(A).  The top pair of Q, from
+    the symmetrized quotient (:func:`_quotient_top_pair`), gives an exact
+    Collatz-Wielandt enclosure of that radius (see :func:`_enclosure`), and
+    disjoint enclosures decide LESS or GREATER with no characteristic
+    polynomial.  Equal degree sequences (likely relabelings, which no
+    enclosure can separate) skip the screen; this only orders the work.
+    Otherwise identical characteristic polynomials give EQUAL_POLY, and
+    else the top eigenvalue -- the screen's, when it ran, else eigh's on
+    each adjacency matrix -- seeds a bracket that is certified exactly
+    (see :func:`exactroots.compare_largest_roots`).  Every verdict rests
+    on integer arithmetic only -- never on float proximity.
     """
     for gr in (g, h):
         if gr.n > 32:
@@ -425,9 +452,15 @@ def exact_compare_rho(g, h):
             raise ValueError("exact_compare_rho requires connected graphs")
     tops = []
     if sorted(g.degrees()) != sorted(h.degrees()):
-        mats = [gr.adjacency_matrix() for gr in (g, h)]
-        tops = [_top_pair(a) for a in mats]
-        eg, eh = (_enclosure(a, v) for a, (_, v) in zip(mats, tops))
+        screens = []
+        for gr in (g, h):
+            quo, sizes = _twin_quotient(gr)
+            # DQ; D = I when every class is a singleton
+            dq = quo if len(sizes) == gr.n else quo * np.array(sizes, dtype=float)[:, None]
+            rho, x = _quotient_top_pair(dq, sizes)
+            tops.append(rho)
+            screens.append(_enclosure(quo, x))
+        eg, eh = screens
         if eg and eh:
             if _below(eg[1], eh[0]):
                 return Ordering.LESS
@@ -437,10 +470,9 @@ def exact_compare_rho(g, h):
     q = int_charpoly(h).coeffs
     if p == q:
         return Ordering.EQUAL_POLY
-    # a pair that skipped the screen takes its top pairs only now, so
+    # a pair that skipped the screen takes its seeds only now, so
     # relabelings (EQUAL_POLY) build no matrix and run no eigensolver
-    tops = tops or [_top_pair(gr.adjacency_matrix()) for gr in (g, h)]
-    seeds = [rho for rho, _ in tops]
+    seeds = tops or [_top_pair(gr.adjacency_matrix())[0] for gr in (g, h)]
     c = exactroots.compare_largest_roots(p, q, seeds=seeds)
     if c < 0:
         return Ordering.LESS

@@ -204,6 +204,24 @@ def test_one_count_first_rungs_and_no_halving(sturm_calls, monkeypatch):
     assert not sturm_calls
 
 
+@pytest.mark.parametrize("rung", [1, 8, 32])
+def test_root_on_a_rung_is_exact(sturm_calls, monkeypatch, rung):
+    # (2x - 1)(x + 5), seeded just below 1/2: the rung `rung` grid steps
+    # above the seed's grid point is 1/2 itself, so the rung search finds
+    # p(hi) = 0 and the bracket is that root, with no Horner pass after it
+    p, bits = (-5, 9, 2), exactroots.SEED_BITS
+    seed = 0.5 - (rung - 0.5) * 2.0**-bits
+    calls, real = [], exactroots._value
+    monkeypatch.setattr(exactroots, "_value", lambda *a: calls.append(a) or real(*a))
+    half = 1 << bits - 1
+    assert exactroots._isolate(p, seed) == (half, half, bits, p)
+    # the integer probe at 0, the rungs up to hi, the first lo rung
+    assert len(calls) == 1 + exactroots.SEED_REACH.index(rung) + 1 + 1
+    assert isolate_largest_root(p, seed) == ("exact", Fraction(1, 2))
+    assert compare_largest_roots(p, (-1, 2), seeds=(seed, 0.5)) == 0
+    assert not sturm_calls
+
+
 def test_negated_polynomial_same_root(sturm_calls):
     # -p has p's roots: the rung signs read p(x) * lead, whatever lead's sign
     for p in ((-2, 0, 1), (1, -3, -1, 1), (684, 286, -36, 1), (-6, 11, -6, 1), (4, 0, -3, 1)):
@@ -270,14 +288,15 @@ def _grid_midpoint(br):
 
 def _assert_one_count_agrees_with_sturm(p, seed):
     """The seeded bracket, when the seed certifies, costs one count on the
-    grid (the integer probe counts only where p(round(seed)) = 0) and lands
-    within 2^-42 of the Sturm route."""
+    grid unless the integer probe proves it (the probe counts only where
+    p(round(seed)) = 0; a root on a rung gives a zero-width bracket on the
+    grid) and lands within 2^-42 of the Sturm route."""
     p = normalize(p)
     with _ShiftSpy() as spy:
         seeded = exactroots._seeded_bracket(p, seed)
     if seeded is not None:
         probe = exactroots._value(p, round(seed), 1) == 0
-        assert spy.grid_counts == (seeded[0] < seeded[1])
+        assert spy.grid_counts == (seeded[2] == exactroots.SEED_BITS)
         assert len(spy.dens) == spy.grid_counts + probe
         seeded = exactroots._refine(exactroots._isolate(p, seed), 42)
         sturm = exactroots._refine(exactroots._isolate(p, None), 42)

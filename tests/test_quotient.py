@@ -1,5 +1,6 @@
 """Quotient matrices, the closed-form cubic, interlacing, lifting."""
 
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -8,13 +9,12 @@ import numpy as np
 import pytest
 
 from conftest import path, random_graph
-from specrad import exactroots
+from specrad import exactroots, spectral
 from specrad.exactroots import compare_largest_roots
 from specrad.graphs import ExtremalParams, complete, extremal_graph
 from specrad.quotient import (
     CubicCoeffs,
     Partition,
-    _symmetrized,
     canonical_three_blocks,
     cubic_coefficients,
     is_equitable,
@@ -183,14 +183,19 @@ class TestQuotientMatrix:
         qm = two_clique_quotient(2, 3, 4)
         assert np.array_equal(qm.matrix, [[1, 3, 4], [2, 2, 0], [2, 0, 3]])
 
-    def test_edge_count_symmetry_random(self):
+    def test_edge_count_symmetry_random(self, monkeypatch):
+        # the matrix quotient_perron hands the eigensolver is symmetric
+        solved, real = [], spectral._top_pair
+        monkeypatch.setattr(spectral, "_top_pair", lambda a: solved.append(a) or real(a))
         rng = random.Random(31)
         for _ in range(50):
             n = rng.randint(3, 10)
             g = random_graph(rng, n)
             pt = random_partition(rng, n, rng.randint(1, min(4, n)))
             qm = quotient_matrix(g, pt)
-            sym = _symmetrized(qm)[0]
+            quotient_perron(qm)
+            (sym,) = solved
+            solved.clear()
             assert np.array_equal(sym, sym.T)  # bit for bit
             m = len(qm.sizes)
             for i in range(m):
@@ -304,6 +309,22 @@ class TestLargestCubicRoot:
         assert count == 9138
         assert not sturm_calls
         assert set(halved) == {ExtremalParams(39, 1, 19)}
+
+    def test_horner_evaluations_per_cubic(self, monkeypatch):
+        # every valid triple with n < 40: the integer probe, the hi rung and
+        # the lo rung, with no evaluation of p(hi) after the rung search;
+        # an integer root is the probe alone, and (39, 1, 19) adds four
+        # halvings (see test_extremal_cubics_skip_sturm)
+        calls, real = [], exactroots._value
+        monkeypatch.setattr(exactroots, "_value", lambda *a: calls.append(a) or real(*a))
+        counts = collections.Counter()
+        for n in range(4, 40):
+            for k in range(1, n - 1):
+                for d in range(k, n - 1):
+                    largest_cubic_root(cubic_coefficients(ExtremalParams(n, k, d)))
+                    counts[len(calls)] += 1
+                    calls.clear()
+        assert counts == {3: 9086, 1: 51, 7: 1}
 
     def test_random_vs_numpy(self):
         rng = random.Random(33)

@@ -856,12 +856,22 @@ class TestExactCompare:
                                                 int_charpoly(h).coeffs) == 1
 
 
-def _assert_encloses_rho(g):
+def _screen(g, quotient):
+    """(rho, enclosure) of the screen on g's twin quotient, as
+    exact_compare_rho runs it, or on g's full adjacency matrix."""
+    if not quotient:
+        a = g.adjacency_matrix()
+        rho, vec = spectral._top_pair(a)
+        return rho, spectral._enclosure(a, vec)
+    q, sizes = spectral._twin_quotient(g)
+    rho, x = spectral._quotient_top_pair(q * np.array(sizes)[:, None], sizes)
+    return rho, spectral._enclosure(q, x)
+
+
+def _assert_encloses_rho(g, quotient=False):
     """The screen's enclosure of rho(g) holds, checked exactly: the largest
     root of den * x - num is num / den, compared with that of int_charpoly."""
-    a = g.adjacency_matrix()
-    rho, vec = spectral._top_pair(a)
-    enclosure = spectral._enclosure(a, vec)
+    rho, enclosure = _screen(g, quotient)
     assert enclosure is not None
     p = int_charpoly(g).coeffs
     (lo_num, lo_den), (hi_num, hi_den) = enclosure
@@ -894,6 +904,42 @@ class TestEnclosure:
             _assert_encloses_rho(from_edges(h.number_of_nodes(), list(h.edges())))
             checked += 1
         assert checked == 996  # every connected graph on 1-7 vertices
+
+    def test_quotient_contains_rho_on_atlas(self):
+        checked = twins = 0
+        for h in nx.graph_atlas_g():
+            if h.number_of_nodes() == 0 or not nx.is_connected(h):
+                continue
+            g = from_edges(h.number_of_nodes(), list(h.edges()))
+            _assert_encloses_rho(g, quotient=True)
+            checked += 1
+            twins += len(spectral._twin_quotient(g)[1]) < g.n
+        assert (checked, twins) == (996, 412)
+
+    def test_one_edge_moves_screen_on_small_quotients(self, charpoly_calls, monkeypatch):
+        # K_3 + (K_3 u K_8) has 3 twin classes, and each of its 1,608
+        # connected one-edge moves has 6 or 7 and another degree sequence.
+        # The screen settles every move on those quotients, as eigvalsh
+        # orders it, with no 14 x 14 adjacency matrix and no charpoly.  The
+        # move closest to rho (test_near_tie_one_edge_move) comes first
+        g = extremal_graph(ExtremalParams(14, 3, 5))
+        edges = list(g.edges())
+        absent = [(i, j) for j in range(14) for i in range(j) if not g.rows[i] >> j & 1]
+        moved = [from_edges(14, [e for e in edges if e != (0, 3)] + [(3, 8)])]
+        moved += [from_edges(14, [e for e in edges if e != drop] + [add])
+                  for drop in edges for add in absent]
+        rho = np.linalg.eigvalsh(g.adjacency_matrix())[-1]
+        gaps = [(rho - np.linalg.eigvalsh(h.adjacency_matrix())[-1], h)
+                for h in moved if is_connected(h)]
+        assert len(gaps) == 1 + 1608 and 1e-3 < gaps[0][0] < 1e-2
+        assert all(sorted(h.degrees()) != sorted(g.degrees()) for _, h in gaps)
+        orders, real = [], spectral._top_pair
+        monkeypatch.setattr(spectral, "_top_pair", lambda a: orders.append(len(a)) or real(a))
+        monkeypatch.setattr(Graph, "adjacency_matrix", None)  # calling it would raise
+        for gap, h in gaps:
+            assert exact_compare_rho(g, h) is (Ordering.GREATER if gap > 0 else Ordering.LESS)
+        assert charpoly_calls == []
+        assert orders[:2] == [3, 6] and set(orders) == {3, 6, 7}
 
     def test_separated_pair_builds_no_charpoly(self, charpoly_calls):
         g = extremal_graph(ExtremalParams(14, 3, 5))
@@ -955,3 +1001,32 @@ def test_exact_compare_agrees_with_unseeded_sturm(g, h):
 @given(connected_graphs(max_n=16))
 def test_enclosure_contains_rho(g):
     _assert_encloses_rho(g)
+
+
+@st.composite
+def connected_twin_graphs(draw):
+    """A connected graph on at most 7 vertices blown up into classes of up to
+    four true twins (a clique) or false twins (independent), relabelled."""
+    base = draw(connected_graphs(max_n=7), label="base")
+    sizes = draw(st.lists(st.integers(1, 4), min_size=base.n, max_size=base.n), label="sizes")
+    # a lone base vertex blown up into false twins would be disconnected
+    kinds = draw(st.lists(st.booleans(), min_size=base.n, max_size=base.n)
+                 if base.n > 1 else st.just([True]), label="true twins")
+    perm = draw(st.permutations(range(sum(sizes))), label="labels")
+    return _blow_up(base.rows, sizes, kinds, [False] * base.n, perm)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(connected_twin_graphs())
+def test_quotient_enclosure_contains_rho(g):
+    _assert_encloses_rho(g, quotient=True)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(connected_twin_graphs(), connected_twin_graphs())
+def test_quotient_screen_verdicts_match_the_full_matrix(g, h):
+    # the full-matrix screen: every vertex its own class, Q = A
+    got = exact_compare_rho(g, h)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_twin_quotient", lambda gr: (gr.adjacency_matrix(), [1] * gr.n))
+        assert exact_compare_rho(g, h) is got
