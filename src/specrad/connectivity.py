@@ -105,7 +105,7 @@ def vertex_connectivity(g):
     """
     n = g.n
     rows = g.rows
-    degrees = [r.bit_count() for r in rows]
+    degrees = g.degrees()
     universal = degrees.count(n - 1)
     if universal == n:
         return n - 1, None

@@ -37,60 +37,49 @@ __all__ = [
 class Partition:
     """Ordered vertex blocks: disjoint, nonempty, covering 0..n-1.
 
-    The blocks are checked once, here: every vertex a nonnegative
-    integer in at most one block, no block empty.  ``masks`` holds each
-    block as a bitmask and ``cover`` their union, ``top`` the largest
-    vertex, so :meth:`validate` only compares ``top`` and ``cover`` with
-    n.  A partition that validates has every vertex below its count of
-    vertices, so a larger one gets no bit, whatever its size: a set
-    finds its repeats, and ``top`` rejects it in :meth:`validate`.
+    The blocks are checked once, here: every vertex an integer in
+    range(count), count being the number of listed vertices, and in at
+    most one block, no block empty.  So the vertices are exactly
+    0..count-1: ``masks`` holds each block as a bitmask and ``cover``
+    their union, and :meth:`validate` only compares count with n.  A
+    label at or above count is rejected before it is made a bit,
+    whatever its size.
     """
 
     blocks: tuple
     masks: tuple = field(init=False, repr=False, compare=False)
     cover: int = field(init=False, repr=False, compare=False)
-    top: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         blocks = tuple(tuple(b) for b in self.blocks)
         count = sum(map(len, blocks))
         masks = []
         cover = 0
-        beyond = set()  # the vertices >= count
         for b in blocks:
             if not b:
                 raise ValueError("partition block is empty")
             m = 0
             for v in b:
-                if not (isinstance(v, int) and v >= 0):
+                if not (isinstance(v, int) and 0 <= v < count):
                     raise ValueError(f"vertex {v!r} out of range")
-                if v < count:
-                    bit = 1 << v
-                    if (cover | m) & bit:
-                        raise ValueError(f"vertex {v} appears in two blocks")
-                    m |= bit
-                elif v in beyond:
+                bit = 1 << v
+                if (cover | m) & bit:
                     raise ValueError(f"vertex {v} appears in two blocks")
-                else:
-                    beyond.add(v)
+                m |= bit
             masks.append(m)
             cover |= m
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "masks", tuple(masks))
         object.__setattr__(self, "cover", cover)
-        object.__setattr__(self, "top", max(beyond, default=cover.bit_length() - 1))
 
     @property
     def sizes(self):
         return tuple(len(b) for b in self.blocks)
 
     def validate(self, n):
-        if self.top >= n:
-            raise ValueError(f"vertex {self.top} out of range")
-        # every vertex is below n, so every bit is; a vertex >= count has no
-        # bit, and then fewer than count < n are set: n bits are 0..n-1
-        if self.cover.bit_count() != n:
-            raise ValueError("partition does not cover the vertex set")
+        if self.cover.bit_length() != n:
+            raise ValueError(f"partition does not cover the vertex set: "
+                             f"{self.cover.bit_length()} vertices, not {n}")
         return self
 
 
@@ -218,7 +207,6 @@ def quotient_perron(qm: QuotientMatrix):
 def lift_block_vector(p: Partition, x):
     """Extend a per-block vector to a per-vertex vector, constant on blocks."""
     n = sum(p.sizes)
-    p.validate(n)
     if len(x) != len(p.blocks):
         raise ValueError(f"len(x) = {len(x)} but the partition has {len(p.blocks)} blocks")
     y = np.empty(n)

@@ -266,9 +266,7 @@ def _twin_quotient(g):
 
     for the m classes.  sizes lists the class sizes, in the order of q's
     rows.  When every key is distinct, every class is a singleton and q
-    is the adjacency matrix.  Bits at or above n take part in the keys:
-    rows that differ only there stay apart, and any split of a twin
-    class is itself a twin partition.
+    is the adjacency matrix.
     """
     n = g.n
     rows = g.rows
@@ -330,7 +328,8 @@ def int_charpoly(g):
     modulo M (every prime exceeds m, so k is a unit).  Q's eigenvalues are
     eigenvalues of A, so their squared moduli sum to at most the ones in
     A (Schur's inequality), and Maclaurin's inequality bounds every
-    coefficient of det(xI - Q) by charpoly_bound(m, ones in A).  Just
+    coefficient of det(xI - Q) by charpoly_bound(m, ones in A), the sum
+    of ``g.degrees()`` (a loop counts one, as on A's diagonal).  Just
     enough primes are used for M to exceed twice that bound, so the
     symmetric residue of each c_k is the coefficient itself.  The two
     exactness invariants -- float partial sums and traces below 2^53 (as
@@ -349,9 +348,7 @@ def int_charpoly(g):
     m = len(sizes)
     if m > 32:
         raise ValueError(f"int_charpoly capped at 32 twin classes (got {m})")
-    # the ones of each row that the dense matrix keeps, its n low bits
-    full = (1 << g.n) - 1
-    ones = [(r & full).bit_count() for r in g.rows]
+    ones = g.degrees()  # the ones of each row of A, loops included
     dmax = max(ones)
     bound = charpoly_bound(m, sum(ones))
     for modulus, weights, inverses, pv, pmax in _CRT:

@@ -283,10 +283,13 @@ class TestQueries:
         g = from_edges(5, [(0, 3), (1, 2), (3, 4)])
         assert sorted(g.edges()) == [(0, 3), (1, 2), (3, 4)]
 
-    def test_queries_ignore_bits_at_or_above_n(self):
-        # row 0 = 514 = 0b1000000010: the edge 01 and a stray bit 9
-        g = Graph(2, [514, 1])
-        assert g.degrees() == (1, 1)
+    def test_no_graph_holds_bits_at_or_above_n(self):
+        # row 0 = 514 = 0b1000000010: the edge 01 and a stray bit 9; no query
+        # masks a row, so the graph is rejected when built
+        with pytest.raises(ValueError, match="row 0 references vertices >= 2"):
+            Graph(2, [514, 1])
+        g = Graph(2, [2, 1])
+        assert g.degrees() == (1, 1) and min_degree(g) == 1
         assert g.edge_count == 1
         assert list(g.edges()) == [(0, 1)]
         assert g.adjacency_matrix().tolist() == [[0.0, 1.0], [1.0, 0.0]]
@@ -297,8 +300,14 @@ class TestQueries:
             bad.validate()
 
     def test_validate_catches_stray_bits(self):
-        with pytest.raises(ValueError, match="row 0 references vertices >= 2"):
-            Graph(2, (0b100, 0)).validate()
+        # the rows' range is checked when the graph is built: the path 0-1-2
+        # with a stray bit 3 on rows 0 and 2 (min_degree and the connectivity
+        # layer would read it as K_3), a negative row, and bits 64 and 70 on a
+        # looped row 1, which gives ValueError, not MemoryError or OverflowError
+        for n, rows, i in [(2, (0b100, 0), 0), (3, (2 | 8, 5, 2 | 8), 0), (2, (-1, 1), 0),
+                           (2, (1, 1 << 64), 1), (2, (0, 1 << 70 | 2), 1)]:
+            with pytest.raises(ValueError, match=f"row {i} references vertices >= {n}"):
+                Graph(n, rows)
         with pytest.raises(ValueError, match="self-loop at vertex 0"):
             Graph(2, (0b1, 0)).validate()
 

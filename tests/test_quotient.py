@@ -70,9 +70,12 @@ class TestPartition:
         with pytest.raises(ValueError, match="two blocks"):
             Partition(((0, 1), (1, 2))).validate(3)
 
-    def test_validate_rejects_gap(self):
+    def test_construction_rejects_gap(self):
+        # two listed vertices must be 0 and 1: a gap leaves a label too large
+        with pytest.raises(ValueError, match="vertex 2 out of range"):
+            Partition(((0,), (2,)))
         with pytest.raises(ValueError, match="cover"):
-            Partition(((0,), (2,))).validate(4)
+            Partition(((0,), (1,))).validate(4)
 
     def test_validate_rejects_empty_block(self):
         with pytest.raises(ValueError, match="empty"):
@@ -96,28 +99,22 @@ class TestPartitionChecksOnce:
         with pytest.raises(ValueError, match=why):
             Partition(blocks)
 
-    def test_validate_names_the_range_before_the_cover(self):
-        p = Partition(((0,), (3,)))  # for n = 3, vertex 3 is out of range and 1, 2 are missing
+    def test_validate_compares_the_cover_with_n(self):
         with pytest.raises(ValueError, match="vertex 3 out of range"):
-            p.validate(3)
-        with pytest.raises(ValueError, match="cover"):
-            p.validate(4)
+            Partition(((0,), (3,)))  # two vertices listed, so 3 is out of range
         q = Partition(((0, 2), (1, 3)))
         assert q.validate(4) is q
+        for n in (3, 5):
+            with pytest.raises(ValueError, match=f"cover the vertex set: 4 vertices, not {n}"):
+                q.validate(n)
 
     @pytest.mark.parametrize("label", [2**64, 2**70], ids=["2^64", "2^70"])
     def test_huge_vertex_builds_no_mask(self, label):
-        # a partition that validates has every vertex below its count of
-        # vertices, so a larger one gets no bit: it is rejected with
-        # ValueError, not MemoryError or OverflowError, in the usual order
-        p = Partition(((0,), (label,)))
-        assert p.cover == 1
-        with pytest.raises(ValueError, match=f"vertex {label} out of range"):
-            p.validate(2)
-        with pytest.raises(ValueError, match="cover"):
-            p.validate(label + 1)
-        with pytest.raises(ValueError, match=f"vertex {label} appears in two blocks"):
-            Partition(((0,), (label,), (label,)))
+        # a label at or above the count of listed vertices is rejected before
+        # it is made a bit: ValueError, not MemoryError or OverflowError
+        for blocks in [((0,), (label,)), ((0,), (label,), (label,))]:
+            with pytest.raises(ValueError, match=f"vertex {label} out of range"):
+                Partition(blocks)
 
     def test_masks_agree_with_blocks(self):
         rng = random.Random(35)

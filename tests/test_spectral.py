@@ -500,29 +500,15 @@ class TestIntCharpoly:
         assert coeffs == faddeev_leverrier_charpoly(g)
         assert used and set(used) == {primes}
 
-    def test_bits_above_the_order_are_not_entries(self, monkeypatch):
+    def test_bits_above_the_order_are_not_entries(self):
         # bits 3, 7 and 9 lie past the matrix, and bit 9 past the rows' bytes
-        # too; each graph is twin-free, so int_charpoly reads adjacency_matrix,
-        # which drops them: edgeless rows stay edgeless and one edge is K_2
-        for g, want in [(Graph(3, [8, 0, 0]), (0, 0, 0, 1)),
-                        (Graph(3, [512, 0, 0]), (0, 0, 0, 1)),
-                        (Graph(2, [130, 1]), (-1, 0, 1)),
-                        (Graph(2, [514, 1]), (-1, 0, 1))]:
-            full = (1 << g.n) - 1
-            assert g.adjacency_matrix().tolist() == [[r >> j & 1 for j in range(g.n)]
-                                                     for r in g.rows]
-            assert _twin_free(g)
-            assert int_charpoly(g).coeffs == want
-            assert want == faddeev_leverrier_charpoly(Graph(g.n, [r & full for r in g.rows]))
-        # counted, bits 21-23 of every row would make the bound ask for two
-        # primes; a twin-free graph keeps its 21 classes when they are set
+        # too, and bits 21-23 past every row of a twin-free graph: no such
+        # graph is built, so int_charpoly reads A's ones from the rows as they are
         s = random_graph(random.Random(21), 21, 0.1)
-        assert 2 * charpoly_bound(21, 2 * s.edge_count + 3 * 21) > CHARPOLY_PRIMES[0]
-        padded = Graph(21, [r | 7 << 21 for r in s.rows])
-        assert _twin_free(padded)
-        coeffs, used = _charpoly_and_reduced_primes(monkeypatch, padded)
-        assert coeffs == int_charpoly(s).coeffs
-        assert used and set(used) == {1}
+        for n, rows in [(3, [8, 0, 0]), (3, [512, 0, 0]), (2, [130, 1]), (2, [514, 1]),
+                        (21, [r | 7 << 21 for r in s.rows])]:
+            with pytest.raises(ValueError, match=f"row 0 references vertices >= {n}"):
+                Graph(n, rows)
 
     def test_reductions_keep_order_32_exact(self, monkeypatch):
         # twin-free stand-ins for the all-ones J_32 and K_32, which are one
@@ -709,11 +695,9 @@ class TestTwinQuotient:
             assert len(spectral._twin_quotient(g)[1]) == m
             assert int_charpoly(g).coeffs == faddeev_leverrier_charpoly(g)
         assert int_charpoly(Graph(5, [1 << i for i in range(5)])).coeffs == (-1, 5, -10, 10, -5, 1)
-        # bits 21-23 set in every row of star(20) leave its classes and charpoly
-        s = star(20)
-        padded = Graph(21, [r | 7 << 21 for r in s.rows])
-        assert len(spectral._twin_quotient(padded)[1]) == 21
-        assert int_charpoly(padded).coeffs == int_charpoly(s).coeffs
+        # bits 21-23 set in every row of star(20) are rejected with the graph
+        with pytest.raises(ValueError, match="row 0 references vertices >= 21"):
+            Graph(21, [r | 7 << 21 for r in star(20).rows])
 
     def test_times_power_against_repeated_products(self):
         rng = random.Random(24)
