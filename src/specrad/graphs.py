@@ -36,10 +36,10 @@ class Graph:
 
     ``rows[i]`` is the neighbour bitmask of vertex i.  ``Graph(n, rows)``
     stores the rows as a tuple and checks their count and that each row
-    is a subset of range(n): a negative row or a bit at or above n is
-    rejected here, so no query masks a row.  Loops and symmetry are left
-    to :meth:`validate`: exact-algebra tests pass asymmetric and looped
-    0/1 rows through the constructor on purpose.
+    is an integer subset of range(n): a non-integer row, a negative row or
+    a bit at or above n is rejected here, so no query masks a row.  Loops
+    and symmetry are left to :meth:`validate`: exact-algebra tests pass
+    asymmetric and looped 0/1 rows through the constructor on purpose.
     The module constructors (:func:`from_edges` and the families) and
     :func:`g6_decode` build valid graphs; :meth:`validate` checks one.
     """
@@ -55,10 +55,14 @@ class Graph:
             raise ValueError("graph needs at least one vertex")
         if len(self.rows) != self.n:
             raise ValueError("adjacency rows do not match vertex count")
-        for r in self.rows:
-            if r >> self.n:  # a bit at or above n; a negative row shifts to -1
-                # an earlier equal row would have raised, so index() finds this one
-                raise ValueError(f"row {self.rows.index(r)} references vertices >= {self.n}")
+        try:
+            for r in self.rows:
+                if r >> self.n:  # a bit at or above n; a negative row shifts to -1
+                    # an earlier equal row would have raised, so index() finds this one
+                    raise ValueError(f"row {self.rows.index(r)} references vertices >= {self.n}")
+        except TypeError:  # r is the row that has no >>; `is` skips equal int rows
+            i = next(i for i, s in enumerate(self.rows) if s is r)
+            raise ValueError(f"row {i} ({r!r}) is not an integer") from None
 
     def degrees(self):
         """Degree of every vertex, in vertex order."""

@@ -29,7 +29,8 @@
   to positive integers, gives an exact Collatz-Wielandt enclosure of the
   radius; disjoint enclosures settle the order.  The clique join's
   screen solves a 3 x 3 matrix, and a one-edge move of it a 6 x 6 or
-  7 x 7 one.
+  7 x 7 one.  A d-regular graph's enclosure is the exact point [d, d]
+  (A1 = d1), with no solver.
 """
 
 from __future__ import annotations
@@ -434,8 +435,12 @@ def exact_compare_rho(g, h):
     the symmetrized quotient (:func:`_quotient_top_pair`), gives an exact
     Collatz-Wielandt enclosure of that radius (see :func:`_enclosure`), and
     disjoint enclosures decide LESS or GREATER with no characteristic
-    polynomial.  Equal degree sequences (likely relabelings, which no
-    enclosure can separate) skip the screen; this only orders the work.
+    polynomial.  A d-regular graph's enclosure is the point [d, d] (A1 = d1,
+    and rho is at most the largest row sum), with no quotient or solver.
+    Equal points of graphs of different orders give EQUAL_RHO, as their
+    polynomials differ in degree; one order goes on to them.  Equal degree
+    sequences (likely relabelings, which no enclosure can separate) skip
+    the screen; this only orders the work.
     Otherwise identical characteristic polynomials give EQUAL_POLY, and
     else the top eigenvalue -- the screen's, when it ran, else eigh's on
     each adjacency matrix -- seeds a bracket that is certified exactly
@@ -448,9 +453,14 @@ def exact_compare_rho(g, h):
         if not is_connected(gr):
             raise ValueError("exact_compare_rho requires connected graphs")
     tops = []
-    if sorted(g.degrees()) != sorted(h.degrees()):
+    sg, sh = sorted(g.degrees()), sorted(h.degrees())
+    if sg != sh:
         screens = []
-        for gr in (g, h):
+        for gr, ds in ((g, sg), (h, sh)):
+            if ds[0] == ds[-1]:  # A1 = d1, and rho <= the largest row sum
+                tops.append(float(ds[0]))
+                screens.append(((ds[0], 1), (ds[0], 1)))
+                continue
             quo, sizes = _twin_quotient(gr)
             # DQ; D = I when every class is a singleton
             dq = quo if len(sizes) == gr.n else quo * np.array(sizes, dtype=float)[:, None]
@@ -463,6 +473,9 @@ def exact_compare_rho(g, h):
                 return Ordering.LESS
             if _below(eh[1], eg[0]):
                 return Ordering.GREATER
+            # equal points; charpolys of different degrees differ
+            if g.n != h.n and not _below(*eg) and not _below(*eh):
+                return Ordering.EQUAL_RHO
     p = int_charpoly(g).coeffs
     q = int_charpoly(h).coeffs
     if p == q:

@@ -247,6 +247,13 @@ class TestGraph:
             Graph(2.0, (2, 1))
         with pytest.raises(ValueError, match="rows do not match vertex count"):
             Graph(2, (1,))
+        for rows, bad in (([2.0, 1], r"row 0 \(2\.0\)"), (["2", 1], r"row 0 \('2'\)"),
+                          ([2, 1, None], r"row 2 \(None\)")):
+            with pytest.raises(ValueError, match=bad + " is not an integer"):
+                Graph(len(rows), rows)
+        # the row named is the one that failed, not an earlier equal int row
+        with pytest.raises(ValueError, match=r"row 1 \(2\.0\)"):
+            Graph(3, [2, 2.0, 1])
 
     def test_list_rows_are_stored_as_tuple(self):
         g, h = Graph(2, [2, 1]), Graph(2, (2, 1))

@@ -755,6 +755,11 @@ class TestTwinQuotient:
         assert worst[0].bit_length() == 86 and modulus.bit_length() == 90
 
 
+def _circulant(n):
+    """C_n(1, 2): connected and 4-regular for n >= 5, so rho = 4 for every n."""
+    return from_edges(n, [(i, (i + s) % n) for i in range(n) for s in (1, 2)])
+
+
 class TestExactCompare:
     def test_proper_subgraph_strict(self):
         k4 = complete(4)
@@ -814,11 +819,8 @@ class TestExactCompare:
         assert len(calls) == 2
 
     def test_equal_rho_regular_orders(self):
-        # circulants C_n(1, 2) are connected and 4-regular, so rho = 4 for every n
-        def circulant(n):
-            return from_edges(n, [(i, (i + s) % n) for i in range(n) for s in (1, 2)])
         for n, m in ((8, 11), (13, 24), (9, 10)):
-            assert exact_compare_rho(circulant(n), circulant(m)) is Ordering.EQUAL_RHO
+            assert exact_compare_rho(_circulant(n), _circulant(m)) is Ordering.EQUAL_RHO
 
     def test_near_tie_one_edge_move(self):
         # the one-edge move of an extremal graph that comes closest to its radius
@@ -941,14 +943,62 @@ class TestEnclosure:
         assert exact_compare_rho(g, h) is Ordering.EQUAL_POLY
         assert charpoly_calls == [g, h]
 
-    def test_equal_radii_fall_back(self, charpoly_calls, monkeypatch):
-        # C4 and C5 both have rho = 2: the enclosures touch, so the charpolys decide
-        screens = []
+    @pytest.fixture
+    def screens(self, monkeypatch):
+        """Counts the _enclosure calls that exact_compare_rho makes."""
+        calls = []
         real = spectral._enclosure
-        monkeypatch.setattr(spectral, "_enclosure", lambda a, v: screens.append(a) or real(a, v))
+        monkeypatch.setattr(spectral, "_enclosure", lambda a, v: calls.append(a) or real(a, v))
+        return calls
+
+    def test_equal_radii_fall_back(self, charpoly_calls, screens):
+        # C4 and C5 are 2-regular: both enclosures are the point 2, and the
+        # orders differ, so the screen proves EQUAL_RHO with no eigensolver
         assert exact_compare_rho(cycle(4), cycle(5)) is Ordering.EQUAL_RHO
-        assert len(screens) == 2
-        assert len(charpoly_calls) == 2
+        assert screens == [] and charpoly_calls == []
+        # K_(1,4) also has rho = 2 and order 5: its enclosure touches C5's
+        # point, and the charpolys decide
+        assert exact_compare_rho(star(4), cycle(5)) is Ordering.EQUAL_RHO
+        assert len(screens) == 1 and charpoly_calls == [star(4), cycle(5)]
+
+    def test_regular_pairs_settle_on_their_degree(self, monkeypatch):
+        for name in ("_twin_quotient", "_top_pair", "int_charpoly"):
+            monkeypatch.setattr(spectral, name, None)  # calling it would raise
+        assert exact_compare_rho(_circulant(12), _circulant(18)) is Ordering.EQUAL_RHO
+        assert exact_compare_rho(cycle(7), _circulant(9)) is Ordering.LESS
+        assert exact_compare_rho(_circulant(9), cycle(7)) is Ordering.GREATER
+
+    def test_regular_against_irregular_screens_one_graph(self, charpoly_calls, screens):
+        g = extremal_graph(ExtremalParams(14, 3, 5))  # rho 10.32, below K_12's 11
+        assert exact_compare_rho(g, complete(12)) is Ordering.LESS
+        assert exact_compare_rho(cycle(5), star(3)) is Ordering.GREATER
+        assert len(screens) == 2 and charpoly_calls == []
+
+    def test_equal_points_of_one_order_take_the_charpolys(self, charpoly_calls, monkeypatch):
+        # only star(4) reaches _enclosure, and its point equals C5's: the
+        # radii are equal, but the charpolys still tell EQUAL_POLY from EQUAL_RHO
+        screens = []
+        monkeypatch.setattr(spectral, "_enclosure",
+                            lambda a, v: screens.append(a) or ((2, 1), (2, 1)))
+        assert exact_compare_rho(star(4), cycle(5)) is Ordering.EQUAL_RHO
+        assert len(screens) == 1 and len(charpoly_calls) == 2
+
+    def test_regular_atlas_graphs_against_the_roots(self):
+        # every pair of connected regular graphs on at most 7 vertices, and
+        # each of them against every 12th other connected one, in both orders
+        graphs = [from_edges(h.number_of_nodes(), list(h.edges()))
+                  for h in nx.graph_atlas_g() if h.number_of_nodes() and nx.is_connected(h)]
+        regular = [g for g in graphs if len(set(g.degrees())) == 1]
+        others = [g for g in graphs if len(set(g.degrees())) > 1][::12]
+        polys = {g: int_charpoly(g).coeffs for g in regular + others}
+        want = {-1: Ordering.LESS, 0: Ordering.EQUAL_RHO, 1: Ordering.GREATER}
+        pairs = [(g, h) for i, g in enumerate(regular) for h in regular[i + 1:] + others]
+        for g, h in pairs:
+            c = exactroots.compare_largest_roots(polys[g], polys[h])
+            equal = polys[g] == polys[h]
+            assert exact_compare_rho(g, h) is (Ordering.EQUAL_POLY if equal else want[c])
+            assert exact_compare_rho(h, g) is (Ordering.EQUAL_POLY if equal else want[-c])
+        assert (len(regular), len(others), len(pairs)) == (16, 82, 1432)
 
     def test_entry_rounding_below_one_gives_none(self):
         a = complete(3).adjacency_matrix()
