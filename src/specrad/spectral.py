@@ -438,7 +438,8 @@ def exact_compare_rho(g, h):
     polynomial.  A d-regular graph's enclosure is the point [d, d] (A1 = d1,
     and rho is at most the largest row sum), with no quotient or solver.
     Equal points of graphs of different orders give EQUAL_RHO, as their
-    polynomials differ in degree; one order goes on to them.  Equal degree
+    polynomials differ in degree; one order goes on to them, and two
+    d-regular graphs with different ones are EQUAL_RHO.  Equal degree
     sequences (likely relabelings, which no enclosure can separate) skip
     the screen; this only orders the work.
     Otherwise identical characteristic polynomials give EQUAL_POLY, and
@@ -480,6 +481,8 @@ def exact_compare_rho(g, h):
     q = int_charpoly(h).coeffs
     if p == q:
         return Ordering.EQUAL_POLY
+    if sg[0] == sg[-1] == sh[0] == sh[-1]:  # rho = d for both
+        return Ordering.EQUAL_RHO
     # a pair that skipped the screen takes its seeds only now, so
     # relabelings (EQUAL_POLY) build no matrix and run no eigensolver
     seeds = tops or [_top_pair(gr.adjacency_matrix())[0] for gr in (g, h)]

@@ -968,6 +968,17 @@ class TestEnclosure:
         assert exact_compare_rho(cycle(7), _circulant(9)) is Ordering.LESS
         assert exact_compare_rho(_circulant(9), cycle(7)) is Ordering.GREATER
 
+    def test_regular_pair_of_one_order_needs_no_roots(self, charpoly_calls, monkeypatch):
+        # K_(3,3) and the prism are 3-regular on 6 vertices, so they skip the
+        # screen; their charpolys differ, and rho = 3 for both
+        monkeypatch.setattr(spectral, "_top_pair", None)  # calling it would raise
+        monkeypatch.setattr(exactroots, "compare_largest_roots", None)
+        k33 = from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)])
+        prism = from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                               (0, 3), (1, 4), (2, 5)])
+        assert exact_compare_rho(k33, prism) is Ordering.EQUAL_RHO
+        assert charpoly_calls == [k33, prism]
+
     def test_regular_against_irregular_screens_one_graph(self, charpoly_calls, screens):
         g = extremal_graph(ExtremalParams(14, 3, 5))  # rho 10.32, below K_12's 11
         assert exact_compare_rho(g, complete(12)) is Ordering.LESS
